@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from typing import Any, Sequence, TextIO
 
 import numpy as np
@@ -168,17 +169,20 @@ def _round_floats(obj: Any, digits: int) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_round_floats(val, digits) for val in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu":
+            return obj.tolist()
         return [_round_floats(val, digits) for val in obj.tolist()]
     return obj
 
 
 def _emit(doc: dict[str, Any], out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    # Streamed, so the text is never held whole.  _round_floats has turned
+    # every non-finite float into a string, so allow_nan cannot fail midway.
+    with (
+        nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+    ) as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write("\n")
 
 
 def _envelope(
@@ -207,12 +211,6 @@ def _envelope(
     if k is not None:
         doc["k"] = int(k)
     return doc
-
-
-def _symbol(dist: Pmf, index: int) -> Any:
-    if dist.labels is not None:
-        return dist.labels[index]
-    return int(index)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +291,22 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
     report = minimal_loss(pmf, args.k, alpha)
     mixture = realize_coverage(report.coverage)
     realized = strategy_loss(mixture, pmf, alpha)
+    labels = pmf.labels
+    subsets: Any = mixture.subsets
+    if labels is not None:
+        subsets = [[labels[i] for i in row] for row in subsets.tolist()]
     outputs: dict[str, Any] = {
         "value": report.value,
         "coverage": report.coverage.t,
         "effective_k": report.coverage.spent,
-        "mixture": {
-            "subsets": [[_symbol(pmf, i) for i in subset] for subset in mixture.subsets],
-            "weights": list(mixture.weights),
-        },
+        "mixture": {"subsets": subsets, "weights": mixture.weights},
         "strategy_value": realized,
     }
     if args.seed is not None:
         guesses = sample_guesses(mixture, args.seed, pmf=pmf)
-        outputs["sample"] = [_symbol(pmf, i) for i in guesses]
+        if labels is not None:
+            guesses = [labels[i] for i in guesses]
+        outputs["sample"] = guesses
         outputs["seed"] = args.seed
     _emit(_envelope("strategy", digest, pmf, alpha, args.k, outputs), args.out)
     return EXIT_OK

@@ -9,7 +9,7 @@ mixture, and evaluates the expected loss any mixture incurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,31 +92,37 @@ def is_admissible(values: "np.ndarray | object", k: int) -> Admissibility:
 class SubsetMixture:
     """A finite mixture of guess sets, each of the same size.
 
-    ``subsets[j]`` lists the symbol indices of component ``j`` (distinct
-    within a component) and ``weights[j]`` its probability.  Weights are
-    positive and sum to one within 1e-9 (renormalized exactly on
-    construction).
+    ``subsets`` is a read-only int64 array of shape ``(components, k)``:
+    row ``j`` lists the symbol indices of component ``j`` (distinct within
+    the row) and ``weights[j]`` its probability.  Any rectangular nested
+    sequence of indices is accepted on construction.  Weights are positive
+    and sum to one within 1e-9 (renormalized exactly on construction).
     """
 
-    subsets: tuple[tuple[int, ...], ...]
+    subsets: np.ndarray
     weights: np.ndarray
+    _cum_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.subsets:
+        try:
+            s = np.array(self.subsets, dtype=np.int64)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise DomainError(
+                "every component must hold the same number of distinct indices"
+            ) from exc
+        if s.ndim == 0 or len(s) == 0:
             raise DomainError("mixture needs at least one component")
-        k = len(self.subsets[0])
-        cleaned = []
-        for s in self.subsets:
-            s = tuple(int(i) for i in s)
-            if len(s) != k or len(set(s)) != k or k == 0:
-                raise DomainError(
-                    "every component must hold the same number of distinct indices"
-                )
-            if min(s) < 0:
-                raise DomainError("subset members must be nonnegative indices")
-            cleaned.append(s)
+        if s.ndim != 2 or s.shape[1] == 0:
+            raise DomainError(
+                "every component must hold the same number of distinct indices"
+            )
+        srt = np.sort(s, axis=1)
+        if np.any(srt[:, 1:] == srt[:, :-1]):
+            raise DomainError("indices within a component must be distinct")
+        if s.min() < 0:
+            raise DomainError("subset members must be nonnegative indices")
         w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(cleaned),):
+        if w.shape != (s.shape[0],):
             raise DomainError("one weight per component required")
         if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
             raise DomainError("component weights must be positive")
@@ -124,29 +130,30 @@ class SubsetMixture:
         if abs(total - 1.0) > SUM_TOL:
             raise DomainError(f"weights sum to {total!r}, outside 1 +/- {SUM_TOL}")
         w = w / total
-        w.flags.writeable = False
-        object.__setattr__(self, "subsets", tuple(cleaned))
+        cum = np.cumsum(w)
+        for arr in (s, w, cum):
+            arr.flags.writeable = False
+        object.__setattr__(self, "subsets", s)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_cum_weights", cum)
 
     @property
     def k(self) -> int:
-        return len(self.subsets[0])
+        return self.subsets.shape[1]
 
     @property
     def n_components(self) -> int:
-        return len(self.subsets)
+        return self.subsets.shape[0]
 
     def coverage(self, n: int) -> np.ndarray:
         """Per-symbol inclusion probability induced over alphabet size n."""
-        out = np.zeros(n)
-        for subset, weight in zip(self.subsets, self.weights):
-            for i in subset:
-                if i >= n:
-                    raise DomainError(
-                        f"subset member {i} outside alphabet of size {n}"
-                    )
-                out[i] += weight
-        return out
+        top = int(self.subsets.max())
+        if top >= n:
+            raise DomainError(f"subset member {top} outside alphabet of size {n}")
+        # bincount adds the weights in component order, as a loop would
+        return np.bincount(
+            self.subsets.ravel(), weights=np.repeat(self.weights, self.k), minlength=n
+        )
 
 
 def realize_coverage(cov: CoverageVector) -> SubsetMixture:
@@ -179,25 +186,40 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     keep = np.concatenate(([True], np.diff(cuts) > _MERGE_TOL))
     cuts = cuts[keep]
     edges = np.append(cuts, 1.0)
+    widths = np.diff(edges)
+    wide = widths > _MERGE_TOL
+    mids = 0.5 * (edges[:-1] + edges[1:])[wide]
+    widths = widths[wide]
 
-    offsets = np.arange(k, dtype=np.float64)
-    collected: dict[tuple[int, ...], float] = {}
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        width = hi - lo
-        if width <= _MERGE_TOL:
-            continue
-        u = 0.5 * (lo + hi)
-        ranks = np.searchsorted(cums, u + offsets, side="right")
-        ranks = np.minimum(ranks, len(order) - 1)
-        subset = tuple(int(i) for i in order[ranks])
-        if len(set(subset)) != k:
-            raise KGuessError("decomposition produced a repeated guess; bug")
-        collected[subset] = collected.get(subset, 0.0) + width
+    # Row c of ``ranks`` picks one symbol per whole-number window for cell
+    # c: the number of cums at or below each key offset + mids[c], that is
+    # searchsorted(cums, keys, side="right").  Offset-major keys never
+    # decrease, so that count is a running count of where the cums land
+    # among the keys, which avoids a binary search per key.
+    keys = np.arange(k, dtype=np.float64)[:, None] + mids
+    landing = np.searchsorted(keys.ravel(), cums, side="left")
+    del keys  # the largest temporary; free it before the counts
+    ranks = np.cumsum(np.bincount(landing, minlength=k * mids.size + 1)[:-1])
+    ranks = ranks.reshape(k, mids.size).T
+    np.minimum(ranks, order.size - 1, out=ranks)
+    if not np.all(ranks[:, 1:] > ranks[:, :-1]):
+        raise KGuessError("decomposition produced a repeated guess; bug")
 
-    mix = SubsetMixture(
-        subsets=tuple(collected.keys()),
-        weights=np.fromiter(collected.values(), dtype=np.float64),
-    )
+    # Every rank column is nondecreasing in the cell midpoint, so equal
+    # subsets sit in adjacent cells: merge each run into its first cell.
+    changed = np.ones(len(ranks), dtype=bool)
+    changed[1:] = np.any(ranks[1:] != ranks[:-1], axis=1)
+    starts = np.flatnonzero(changed)
+    run = np.diff(np.append(starts, len(ranks)))
+    # Sum each run left to right, as a per-cell loop would; np.add.reduceat
+    # adds runs of three or more in another order.
+    weights = widths[starts]
+    for step in range(1, int(run.max())):
+        longer = run > step
+        weights[longer] += widths[starts[longer] + step]
+
+    ranks = ranks[starts]
+    mix = SubsetMixture(subsets=order[ranks], weights=weights)
     induced = mix.coverage(cov.t.size)
     if float(np.max(np.abs(induced - cov.t))) > SUM_TOL:
         raise KGuessError("decomposition failed to reproduce the coverage; bug")
@@ -218,13 +240,12 @@ def sample_guesses(
     Identical seeds give identical draws.
     """
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(mix.weights)
-    j = int(np.searchsorted(cum, rng.random(), side="right"))
-    subset = mix.subsets[min(j, mix.n_components - 1)]
+    j = int(np.searchsorted(mix._cum_weights, rng.random(), side="right"))
+    subset = mix.subsets[min(j, mix.n_components - 1)].tolist()
     if pmf is not None:
         p = as_pmf(pmf).probs
-        subset = tuple(sorted(subset, key=lambda i: (-p[i], i)))
-    return list(subset)
+        subset.sort(key=lambda i: (-p[i], i))
+    return subset
 
 
 def strategy_loss(
@@ -239,11 +260,6 @@ def strategy_loss(
     """
     pmf = as_pmf(pmf)
     a = as_alpha(alpha)
-    for subset in mix.subsets:
-        if max(subset) >= pmf.n:
-            raise DomainError(
-                f"subset member {max(subset)} outside alphabet of size {pmf.n}"
-            )
     cover = mix.coverage(pmf.n)
     p = pmf.probs
     pos = p > 0.0

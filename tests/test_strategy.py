@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kguess.core import Alpha, DomainError, Pmf
@@ -35,9 +35,50 @@ def random_coverage(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         t = np.clip(t * (k / t.sum()), 0.0, 1.0)
         if abs(t.sum() - k) <= 1e-12:
             return t
-    free = t < 1.0
-    t[free] += (k - t.sum()) / free.sum()
-    return np.clip(t, 0.0, 1.0)
+    # each spread either lands on k or caps at least one more entry at 1
+    for _ in range(n):
+        free = t < 1.0
+        t[free] += (k - t.sum()) / free.sum()
+        t = np.clip(t, 0.0, 1.0)
+        if abs(t.sum() - k) <= 1e-12:
+            return t
+    raise AssertionError(f"no coverage of total {k} found for n={n}")
+
+
+def reference_realize(cov: CoverageVector) -> tuple[list[list[int]], np.ndarray]:
+    """Per-cell loop form of realize_coverage: one search per cell, merged in a dict."""
+    k = cov.k
+    support = np.flatnonzero(cov.t > 0.0)
+    order = support[np.argsort(-cov.t[support], kind="stable")]
+    t = np.clip(cov.t[order], 0.0, 1.0)
+    t = t * (k / float(t.sum()))
+    cums = np.cumsum(t)
+    cums[-1] = float(k)
+    fracs = cums - np.floor(cums)
+    fracs[fracs >= 1.0 - 1e-12] = 0.0
+    cuts = np.unique(np.concatenate(([0.0], fracs)))
+    cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
+    edges = np.append(cuts, 1.0)
+    offsets = np.arange(k, dtype=np.float64)
+    collected: dict[tuple[int, ...], float] = {}
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        width = hi - lo
+        if width <= 1e-12:
+            continue
+        ranks = np.searchsorted(cums, 0.5 * (lo + hi) + offsets, side="right")
+        subset = tuple(int(i) for i in order[np.minimum(ranks, len(order) - 1)])
+        collected[subset] = collected.get(subset, 0.0) + width
+    weights = np.fromiter(collected.values(), dtype=np.float64)
+    return [list(s) for s in collected], weights / float(weights.sum())
+
+
+def tied_coverage(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Coverage on the quarter grid: many ties, some zeros, some ones."""
+    q = rng.integers(0, 5, size=n)
+    while q.sum() != 4 * k:
+        i = int(rng.integers(n))
+        q[i] = min(4, q[i] + 1) if q.sum() < 4 * k else max(0, q[i] - 1)
+    return q / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +150,14 @@ class TestRealizeCoverage:
         cov = CoverageVector(np.array([1.0, 0.8, 0.2]), 2)
         mix = realize_coverage(cov)
         assert mix.n_components == 2
-        pairs = dict(zip(mix.subsets, mix.weights))
+        pairs = dict(zip(map(tuple, mix.subsets.tolist()), mix.weights))
         assert pairs[(0, 1)] == pytest.approx(0.8, abs=1e-12)
         assert pairs[(0, 2)] == pytest.approx(0.2, abs=1e-12)
 
     def test_uniform_four(self):
         cov = CoverageVector(np.full(4, 0.5), 2)
         mix = realize_coverage(cov)
-        pairs = dict(zip(mix.subsets, mix.weights))
+        pairs = dict(zip(map(tuple, mix.subsets.tolist()), mix.weights))
         assert pairs == {
             (0, 2): pytest.approx(0.5, abs=1e-12),
             (1, 3): pytest.approx(0.5, abs=1e-12),
@@ -125,13 +166,13 @@ class TestRealizeCoverage:
     def test_point_mass(self):
         cov = CoverageVector(np.array([1.0, 0.0, 0.0]), 1)
         mix = realize_coverage(cov)
-        assert mix.subsets == ((0,),)
+        assert mix.subsets.tolist() == [[0]]
         assert mix.weights == pytest.approx((1.0,))
 
     def test_integral_coverage_is_deterministic(self):
         cov = CoverageVector(np.array([1.0, 0.0, 1.0, 1.0]), 3)
         mix = realize_coverage(cov)
-        assert mix.subsets == ((0, 2, 3),)
+        assert mix.subsets.tolist() == [[0, 2, 3]]
 
     def test_requires_coverage_vector(self):
         with pytest.raises(DomainError):
@@ -142,6 +183,7 @@ class TestRealizeCoverage:
         st.integers(min_value=1, max_value=19),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(n=18, k=16, seed=364)
     @settings(max_examples=200)
     def test_random_admissible_decomposes_exactly(self, n, k, seed):
         if k >= n:
@@ -153,9 +195,50 @@ class TestRealizeCoverage:
         induced = mix.coverage(n)
         assert np.max(np.abs(induced - np.clip(t, 0, 1))) <= 1e-9
         assert sum(mix.weights) == pytest.approx(1.0, abs=1e-12)
-        for subset in mix.subsets:
+        for subset in mix.subsets.tolist():
             assert len(subset) == k
             assert len(set(subset)) == k
+
+    def test_matches_per_cell_reference(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(300):
+            n = int(rng.integers(2, 21))
+            k = int(rng.integers(1, n))
+            kind = trial % 3
+            if kind == 0:
+                t = random_coverage(rng, n, k)
+            elif kind == 1:
+                t = tied_coverage(rng, n, k)
+            else:
+                # zero entries off a random support larger than k
+                t = np.zeros(n)
+                m = int(rng.integers(k + 1, n + 1))
+                t[rng.choice(n, size=m, replace=False)] = random_coverage(rng, m, k)
+            cov = CoverageVector(t, k)
+            mix = realize_coverage(cov)
+            subsets, weights = reference_realize(cov)
+            assert mix.subsets.tolist() == subsets
+            assert mix.weights.tolist() == weights.tolist()
+
+    def test_merges_equal_adjacent_cells(self):
+        # Cuts 0.75 - 2**-39 and 0.75 bound a one-ulp cell; in the window at
+        # 8192 its midpoint key rounds onto the cut at 8192.75, so the cell
+        # picks the same subset as the next one and the two are merged.
+        w = 2.0**-39
+        t = np.concatenate((np.ones(8192), [0.75, 0.5, 0.5 - w, 0.25 + w]))
+        cov = CoverageVector(t, 8194)
+        mix = realize_coverage(cov)
+        subsets, weights = reference_realize(cov)
+        assert mix.n_components == 3
+        assert mix.subsets.tolist() == subsets
+        assert mix.weights.tolist() == weights.tolist()
+
+    def test_large_zipf_reconstructs(self):
+        p = 1.0 / np.arange(1, 10_001) ** 0.9
+        report = minimal_loss(np.random.default_rng(5).permutation(p / p.sum()), 100, 2)
+        mix = realize_coverage(report.coverage)
+        assert mix.subsets.shape == (mix.n_components, 100)
+        assert np.max(np.abs(mix.coverage(10_000) - report.coverage.t)) <= 1e-9
 
     @given(pmf_raws, orders)
     @settings(max_examples=100)
