@@ -40,7 +40,7 @@ from .core import (
     Pmf,
 )
 from .guessing import LossReport, minimal_loss, minimal_loss_conditional
-from .leakage import alpha_leakage, robustness_condition
+from .leakage import alpha_leakage
 from .oracle import lp_feasible, minimize_expected_loss
 from .strategy import is_admissible, realize_coverage, sample_guesses, strategy_loss
 
@@ -319,24 +319,17 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
     scale = _LN2 if args.bits else 1.0
 
     report = alpha_leakage(joint, args.k, alpha)
-    condition = robustness_condition(joint, args.k, alpha)
     offender: dict[str, Any] | None = None
-    if not condition.ok and condition.location is not None:
-        if condition.location[0] == "marginal":
-            offender = {"part": "marginal", "x": int(condition.location[1])}
-        else:
-            offender = {
-                "part": "conditional",
-                "y": int(condition.location[1]),
-                "x": int(condition.location[2]),
-            }
+    if not report.robust:
+        part, *where = report.robustness.location  # where is [x] or [y, x]
+        offender = {"part": part, **dict(zip(("y", "x")[-len(where):], where))}
     outputs = {
         "value": report.value / scale,
         "numerator_exponent": report.numerator_exponent / scale,
         "denominator_exponent": report.denominator_exponent / scale,
         "robust": report.robust,
-        "max_tilted_entry": condition.max_entry,
-        "tilted_threshold": condition.threshold,
+        "max_tilted_entry": report.robustness.max_entry,
+        "tilted_threshold": report.robustness.threshold,
         "offender": offender,
         "unit": "bits" if args.bits else "nats",
     }
@@ -419,11 +412,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _snap_coverage(values: np.ndarray) -> np.ndarray:
-    """Snap coverage entries to the 1e-9 grid used by the exact LP."""
-    return np.round(values * 1e9) / 1e9
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     dist, digest = _load_distribution(args.file)
     pmf = _require_pmf(dist, "verify")
@@ -456,9 +444,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "max_coverage_deviation": deviation,
             }
         )
-    snapped = _snap_coverage(report.coverage.t)
-    admissible = is_admissible(snapped, report.coverage.spent)
-    feasibility = lp_feasible(snapped, report.coverage.spent)
+    admissible = is_admissible(report.coverage.t, report.coverage.spent)
+    feasibility = lp_feasible(report.coverage.t, report.coverage.spent)
     outputs["admissible"] = admissible.ok
     outputs["lp_feasible"] = feasibility.feasible
     outputs["checks_agree"] = admissible.ok == feasibility.feasible

@@ -12,6 +12,7 @@ Entropies are returned in nats throughout; callers wanting bits divide by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,15 +95,15 @@ class Alpha:
     The two special orders have exact representations: any float within
     1e-12 of one snaps to the logarithmic branch, and ``math.inf`` selects
     the 0-1 (probability-of-error) branch.  Finite non-unit orders keep the
-    float given.
+    float given.  Sub-normal orders, for which 1 / a overflows, are rejected.
     """
 
     value: float
 
     def __post_init__(self) -> None:
         v = float(self.value)
-        if math.isnan(v) or v <= 0.0:
-            raise DomainError(f"alpha must lie in (0, inf], got {self.value!r}")
+        if math.isnan(v) or v < sys.float_info.min:
+            raise DomainError(f"alpha {self.value!r} is not a normal float in (0, inf]")
         if abs(v - 1.0) <= ONE_SNAP_TOL:
             v = 1.0
         object.__setattr__(self, "value", v)
@@ -167,10 +168,16 @@ def as_alpha(alpha: "Alpha | float | int | str") -> Alpha:
 # ---------------------------------------------------------------------------
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
+
+
+def _check_budget(k: int) -> int:
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise DomainError(f"guess budget must be a positive integer, got {k!r}")
+    return int(k)
 
 
 def _check_labels(labels, count: int, what: str) -> tuple[str, ...] | None:
@@ -374,14 +381,19 @@ def alpha_loss(p: float, alpha: "Alpha | float | str") -> float:
     if p == 0.0:
         return a.value / (a.value - 1.0) if a.value > 1.0 else math.inf
     # 1/beta * (1 - p**beta), written with expm1 so orders near one stay exact
-    return -math.expm1(beta * math.log(p)) / beta
+    try:  # beta * ln p > 0 only below order one, where the loss tends to +inf
+        return -math.expm1(beta * math.log(p)) / beta
+    except OverflowError:
+        return math.inf
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    if math.isinf(m) and m < 0:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(x - m))))
+def _tilt_rows(P: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of P tilted to exp(a * (ln p - max ln p)), largest entry exactly one,
+    and their sums: row i of the tilted pmf is w[i] / total[i]."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(P)
+    w = np.exp(a * (logp - logp.max(axis=1, keepdims=True)))
+    return w, w.sum(axis=1)
 
 
 def tilted(pmf: "Pmf | object", alpha: "Alpha | float | str") -> Pmf:
@@ -401,12 +413,8 @@ def tilted(pmf: "Pmf | object", alpha: "Alpha | float | str") -> Pmf:
         top = p >= float(p.max()) - 1e-12
         out = np.where(top, 1.0 / np.count_nonzero(top), 0.0)
         return Pmf(out, labels=pmf.labels)
-    pos = p > 0.0
-    logp = np.log(p[pos])
-    w = np.exp(a.value * (logp - logp.max()))
-    out = np.zeros_like(p)
-    out[pos] = w / w.sum()
-    return Pmf(out, labels=pmf.labels)
+    w, total = _tilt_rows(p[None, :], a.value)
+    return Pmf(w[0] / total[0], labels=pmf.labels)
 
 
 def renyi_entropy(pmf: "Pmf | object", alpha: "Alpha | float | str") -> Entropy:
@@ -422,8 +430,9 @@ def renyi_entropy(pmf: "Pmf | object", alpha: "Alpha | float | str") -> Entropy:
         return Entropy(-math.log(float(p.max())))
     if a.is_one:
         return Entropy(float(-np.sum(p * np.log(p))))
-    logp = np.log(p)
-    return Entropy(_logsumexp(a.value * logp) / (1.0 - a.value))
+    _, total = _tilt_rows(p[None, :], a.value)  # sum p ** a = max p ** a * total
+    log_sum = a.value * math.log(p.max()) + math.log(total[0])
+    return Entropy(log_sum / (1.0 - a.value))
 
 
 def arimoto_conditional_entropy(
@@ -442,15 +451,22 @@ def arimoto_conditional_entropy(
         raise DomainError(
             "Arimoto conditional entropy requires a finite order other than one"
         )
-    inner = []
-    for y in range(joint.probs.shape[1]):
-        col = joint.probs[:, y]
-        col = col[col > 0.0]
-        if col.size == 0:
-            continue
-        inner.append(_logsumexp(a.value * np.log(col)) / a.value)
-    outer = _logsumexp(np.asarray(inner))
+    cols = joint.probs.T[joint.probs.sum(axis=0) > 0.0]
+    _, total = _tilt_rows(cols, a.value)
+    # ln (sum_x P(x, y) ** a) ** (1 / a) for each column of positive mass
+    inner = np.log(cols.max(axis=1)) + np.log(total) / a.value
+    top = float(inner.max())
+    outer = top + math.log(np.exp(inner - top).sum())
     return Entropy(a.value / (1.0 - a.value) * outer)
+
+
+def _joint_rows(joint: JointPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of the marginal of X, then of X given each column of positive
+    mass; and those columns' masses and indices."""
+    P = joint.probs
+    py = P.sum(axis=0)
+    live = np.flatnonzero(py > 0.0)
+    return np.vstack((P.sum(axis=1), P.T[live] / py[live, None])), py[live], live
 
 
 def conditional_pmf(joint: "JointPmf | object", y_index: int) -> Pmf:

@@ -8,8 +8,8 @@ budget is spread over the tail in proportion to tilted probabilities.
 This module computes that threshold rank, the minimal expected loss, and
 the per-symbol coverage probabilities, all in closed form.
 
-Everything runs on log-domain suffix sums, so large orders and long tails
-stay numerically stable.
+Every caller runs on one kernel, ``_solve_rows``, which solves the rows of a
+matrix at once, centred in the log domain so that extreme orders stay stable.
 """
 
 from __future__ import annotations
@@ -22,16 +22,17 @@ import numpy as np
 from .core import (
     Alpha,
     BudgetError,
-    DegenerateColumnError,
     DomainError,
     JointPmf,
     KGuessError,
     Pmf,
     SUM_TOL,
+    _check_budget,
+    _freeze,
+    _joint_rows,
     as_alpha,
     as_joint,
     as_pmf,
-    conditional_pmf,
 )
 
 __all__ = [
@@ -43,12 +44,6 @@ __all__ = [
     "optimal_coverage",
     "minimal_loss_conditional",
 ]
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +72,7 @@ class SortedPmf:
         if self.size < p.size:
             raise DomainError("original size smaller than positive support")
         object.__setattr__(self, "probs", _freeze(p))
-        object.__setattr__(self, "perm", _freeze(perm).astype(np.intp))
+        object.__setattr__(self, "perm", _freeze(perm, np.intp))
 
     @property
     def support_size(self) -> int:
@@ -113,19 +108,18 @@ class CoverageVector:
         t = np.asarray(self.t, dtype=np.float64)
         if t.ndim != 1 or t.size == 0:
             raise DomainError("coverage must be a nonempty 1-d array")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise DomainError(f"guess budget must be a positive integer, got {self.k!r}")
+        k = _check_budget(self.k)
         if np.any(~np.isfinite(t)) or np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
             raise DomainError("coverage entries must lie in [0, 1]")
         t = np.clip(t, 0.0, 1.0)
         total = float(t.sum())
         spent = round(total)
-        if abs(total - spent) > SUM_TOL or not 1 <= spent <= self.k:
+        if abs(total - spent) > SUM_TOL or not 1 <= spent <= k:
             raise DomainError(
-                f"coverage sums to {total!r}, not an integer budget in [1, {self.k}]"
+                f"coverage sums to {total!r}, not an integer budget in [1, {k}]"
             )
         object.__setattr__(self, "t", _freeze(t))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", k)
 
     @property
     def spent(self) -> int:
@@ -168,26 +162,90 @@ class LossReport:
         object.__setattr__(self, "threshold_rank", int(self.threshold_rank))
 
 
-def _suffix_logsumexp(x: np.ndarray) -> np.ndarray:
-    """suffix[r] = log sum(exp(x[r:])), computed tail-first for accuracy."""
-    return np.logaddexp.accumulate(x[::-1])[::-1]
+def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
+    """Per row of ``P`` (nonnegative, summing to one): loss, threshold rank,
+    read-only coverage and multiplier.  Ties keep column order.  A row with at
+    most k positive atoms covers them: loss 0, rank their count, multiplier
+    the smallest of them."""
+    rows, n = P.shape
+    flat = np.argsort(-P, axis=1, kind="stable")
+    flat += np.arange(0, rows * n, n)[:, None]  # positions in P.reshape(-1)
+    S = P.reshape(-1)[flat]  # every row sorted, largest atom first
+    if k < n and S[:, k].min() > 0.0:  # every row has more than k positive atoms
+        value, rank, T, multiplier = _solve_sorted_rows(S, k, a)
+        spent = k
+    else:
+        support = (S > 0.0).sum(axis=1)
+        spent = np.minimum(support, k)
+        value, rank, T = np.zeros(rows), support.copy(), (S > 0.0).astype(np.float64)
+        multiplier = S[np.arange(rows), support - 1]
+        live = np.flatnonzero(support > k)
+        if live.size:
+            solved = _solve_sorted_rows(S[live], k, a)
+            value[live], rank[live], T[live], multiplier[live] = solved
+    if not np.abs(T.sum(axis=1) - spent).max() <= SUM_TOL or math.isnan(value.sum()):
+        raise KGuessError("closed form missed the guesses it spends; this is a bug")
+    t = np.empty_like(T)
+    t.reshape(-1)[flat] = T
+    return value, rank, _freeze(t), multiplier
 
 
-def _check_budget(k: int, support: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"guess budget must be a positive integer, got {k!r}")
-    return int(k)
+def _solve_sorted_rows(S: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
+    """``_solve_rows`` on sorted rows with more than k positive atoms, unscattered."""
+    rows, n = S.shape
+    if a.is_inf:
+        T = np.broadcast_to(np.arange(n) < k, (rows, n)).astype(np.float64)
+        value = np.maximum(1.0 - S[:, :k].sum(axis=1), 0.0)
+        return value, np.full(rows, k), T, S[:, k - 1]
+    # Beyond float range the loss and the multiplier are +inf; ln 0 is -inf.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logp = np.log(S)
+        # Centred on the largest atom, so that a * ln p cannot swamp ln m.
+        x = a.value * (logp - logp[:, :1])
+        suffix = np.logaddexp.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+        # The threshold is the first rank r with (k - r + 1) w_r <= sum(w_r:),
+        # where this test is False (or NaN); rank k always passes.
+        factors = np.log(np.arange(k, 0, -1, dtype=np.float64))  # ln(k - r + 1)
+        s0 = np.argmin(factors + x[:, :k] - suffix[:, :k] > 0.0, axis=1)
+        del x, suffix
+        at, col = np.arange(rows), np.arange(n)
+        while True:
+            # The tail's own sum decides: where a * ln p is large the suffix sums
+            # lose digits and can pass a rank whose first tail entry exceeds one.
+            lead = logp[at, s0]
+            y = a.value * (logp - lead[:, None])
+            e = np.exp(y)
+            e[col <= s0[:, None]] = 0.0
+            log_total = np.log1p(e.sum(axis=1))
+            log_left = factors[s0]  # ln of the guesses left for the tail
+            over = log_left > log_total
+            if not over.any():
+                break
+            s0 = s0 + over
+        del logp, e  # arrays as large as the input: few at a time, in place
+        y += (log_left - log_total)[:, None]  # now ln t on the tail
+        y[col < s0[:, None]] = 0.0
+        T = np.exp(y)
+        y[S == 0.0] = 0.0  # zero atoms cost nothing
+        if not a.is_one:  # (t ** beta - 1) / beta, which is ln t at order one
+            beta = (a.value - 1.0) / a.value
+            y *= beta
+            np.expm1(y, out=y)
+            y /= beta
+        y *= S
+        value = -y.sum(axis=1)
+        multiplier = np.exp(lead + (log_total - log_left) / a.value)
+    return value, s0 + 1, T, multiplier
 
 
-def _threshold_from_logs(a_logp: np.ndarray, suffix: np.ndarray, k: int) -> int:
-    """First 1-based rank r in [1, k] where (k - r + 1) * w_r <= sum(w_r:)."""
-    factors = np.log(np.arange(k, 0, -1, dtype=np.float64))
-    sat = np.flatnonzero(factors + a_logp[:k] - suffix[:k] <= 0.0)
-    if sat.size == 0:
-        # A satisfying rank provably exists for k below the support size;
-        # treat a miss as an internal contract violation, not clamp it.
-        raise KGuessError("no valid threshold rank found; this is a bug")
-    return int(sat[0]) + 1
+def _report(rows: tuple[np.ndarray, ...], i: int, k: int, a: Alpha) -> LossReport:
+    """LossReport of kernel row ``i``, which the kernel checked: no re-validation."""
+    value, rank, t, multiplier = rows
+    coverage, report = object.__new__(CoverageVector), object.__new__(LossReport)
+    coverage.__dict__.update(t=t[i], k=k)
+    report.__dict__.update(value=float(value[i]), threshold_rank=int(rank[i]),
+                           coverage=coverage, alpha=a, multiplier=float(multiplier[i]))
+    return report
 
 
 def threshold_rank(
@@ -204,48 +262,10 @@ def threshold_rank(
     if not isinstance(sorted_pmf, SortedPmf):
         sorted_pmf = SortedPmf.from_pmf(sorted_pmf)
     a = as_alpha(alpha)
-    k = _check_budget(k, sorted_pmf.support_size)
-    if k >= sorted_pmf.support_size:
-        raise BudgetError(
-            f"budget {k} not below positive support {sorted_pmf.support_size}"
-        )
-    if a.is_inf:
-        return k
-    logp = np.log(sorted_pmf.probs)
-    a_logp = a.value * logp
-    return _threshold_from_logs(a_logp, _suffix_logsumexp(a_logp), k)
-
-
-def _solve_sorted(
-    sp: SortedPmf, k: int, a: Alpha
-) -> tuple[float, int, np.ndarray, float]:
-    """Core engine on stripped, sorted probabilities with k < support."""
-    p = sp.probs
-    n = p.size
-    if a.is_inf:
-        t = np.zeros(n)
-        t[:k] = 1.0
-        value = max(1.0 - float(p[:k].sum()), 0.0)
-        return value, k, t, float(p[k - 1])
-
-    logp = np.log(p)
-    a_logp = a.value * logp
-    suffix = _suffix_logsumexp(a_logp)
-    rank = _threshold_from_logs(a_logp, suffix, k)
-    s0 = rank - 1  # 0-based start of the randomized tail
-    m = k - s0  # guesses left for the tail
-    log_t_tail = math.log(m) + a_logp[s0:] - suffix[s0]
-    t = np.ones(n)
-    t[s0:] = np.exp(np.minimum(log_t_tail, 0.0))
-    multiplier = math.exp((suffix[s0] - math.log(m)) / a.value)
-
-    if a.is_one:
-        # expected log-loss of the coverage: sum over the tail of p * ln(1/t)
-        value = float(np.dot(p[s0:], -log_t_tail))
-    else:
-        beta = (a.value - 1.0) / a.value
-        value = -float(np.dot(p[s0:], np.expm1(beta * log_t_tail))) / beta
-    return value, rank, t, multiplier
+    k = _check_budget(k)
+    if k >= (support := sorted_pmf.support_size):
+        raise BudgetError(f"budget {k} not below positive support {support}")
+    return int(_solve_rows(sorted_pmf.probs[None, :], k, a)[1][0])
 
 
 def minimal_loss(
@@ -277,24 +297,8 @@ def minimal_loss(
     """
     pmf = as_pmf(pmf)
     a = as_alpha(alpha)
-    sp = SortedPmf.from_pmf(pmf)
-    k = _check_budget(k, sp.support_size)
-
-    if k >= sp.support_size:
-        t_sorted = np.ones(sp.support_size)
-        value, rank, multiplier = 0.0, sp.support_size, float(sp.probs[-1])
-    else:
-        value, rank, t_sorted, multiplier = _solve_sorted(sp, k, a)
-
-    t = np.zeros(sp.size)
-    t[sp.perm] = t_sorted
-    return LossReport(
-        value=value,
-        threshold_rank=rank,
-        coverage=CoverageVector(t, k),
-        alpha=a,
-        multiplier=multiplier,
-    )
+    k = _check_budget(k)
+    return _report(_solve_rows(pmf.probs[None, :], k, a), 0, k, a)
 
 
 def optimal_coverage(
@@ -311,19 +315,14 @@ def minimal_loss_conditional(
 
     Decomposes over the observation: each column is solved on its own and
     the values are averaged under the observation's marginal.  Columns of
-    probability zero are skipped and reported as None.  Summation follows
-    ascending column order, so the result is deterministic.
+    probability zero are skipped and reported as None.
     """
     joint = as_joint(joint)
     a = as_alpha(alpha)
-    py = joint.probs.sum(axis=0)
-    total = 0.0
-    reports: list[LossReport | None] = []
-    for y in range(joint.probs.shape[1]):
-        if py[y] <= 0.0:
-            reports.append(None)
-            continue
-        rep = minimal_loss(conditional_pmf(joint, y), k, a)
-        reports.append(rep)
-        total += float(py[y]) * rep.value
-    return total, reports
+    k = _check_budget(k)
+    rows, weights, live = _joint_rows(joint)
+    solved = _solve_rows(rows[1:], k, a)
+    reports: list[LossReport | None] = [None] * joint.shape[1]
+    for i, y in enumerate(live.tolist()):
+        reports[y] = _report(solved, i, k, a)
+    return float(np.dot(weights, solved[0])), reports

@@ -20,13 +20,13 @@ from .core import (
     JointPmf,
     KGuessError,
     Pmf,
+    _check_budget,
+    _joint_rows,
+    _tilt_rows,
     as_alpha,
     as_joint,
-    as_pmf,
-    conditional_pmf,
-    tilted,
 )
-from .guessing import minimal_loss
+from .guessing import _solve_rows, minimal_loss
 
 __all__ = [
     "RobustnessResult",
@@ -59,12 +59,15 @@ class RobustnessResult:
 
 @dataclass(frozen=True, eq=False)
 class LeakageReport:
+    """Leakage value and exponents, and the flatness condition at the same
+    budget and order (``robustness``), whose verdict ``robust`` reads."""
+
     value: float
     k: int
     alpha: Alpha
     numerator_exponent: float
     denominator_exponent: float
-    robust: bool
+    robustness: RobustnessResult
 
     def __post_init__(self) -> None:
         v = float(self.value)
@@ -75,6 +78,23 @@ class LeakageReport:
                 raise KGuessError(f"leakage came out negative: {v!r}")
             v = 0.0
         object.__setattr__(self, "value", v)
+
+    @property
+    def robust(self) -> bool:
+        return self.robustness.ok
+
+
+def _flatness(rows: np.ndarray, live: np.ndarray, k: int, a: Alpha):
+    """Flatness condition on the rows of :func:`_joint_rows`."""
+    w, total = _tilt_rows(rows, a.value)
+    # Row i's largest tilted entry is 1 / total[i]; argmax keeps the earliest
+    # maximum: the marginal first, then columns in ascending order.
+    top = 1.0 / total
+    i = int(np.argmax(top))
+    x = int(np.argmax(w[i]))
+    where = ("marginal", x) if i == 0 else ("conditional", int(live[i - 1]), x)
+    best = float(top[i])
+    return RobustnessResult(best <= 1.0 / k + 1e-12, best, 1.0 / k, where)
 
 
 def max_expectation(
@@ -104,29 +124,19 @@ def alpha_leakage(
     best expectations under the observation's marginal and D is the best
     expectation with no observation.  Nonnegative; tiny negative rounding
     (within 1e-9) is clamped to zero.  Requires a finite order other than
-    one.
+    one.  The report also carries the flatness condition.
     """
     joint = as_joint(joint)
     a = as_alpha(alpha)
     if a.is_one or a.is_inf:
         raise DomainError("leakage requires a finite order other than one")
-    py = joint.probs.sum(axis=0)
-    numerator = 0.0
-    for y in range(joint.probs.shape[1]):
-        if py[y] <= 0.0:
-            continue
-        numerator += float(py[y]) * max_expectation(conditional_pmf(joint, y), k, a)
-    denominator = max_expectation(joint.marginal_x(), k, a)
-    value = a.value / (a.value - 1.0) * (math.log(numerator) - math.log(denominator))
-    robust = robustness_condition(joint, k, a).ok
-    return LeakageReport(
-        value=value,
-        k=int(k),
-        alpha=a,
-        numerator_exponent=math.log(numerator),
-        denominator_exponent=math.log(denominator),
-        robust=robust,
-    )
+    k = _check_budget(k)
+    rows, weights, live = _joint_rows(joint)
+    # best expectation of each row, as in max_expectation
+    best = 1.0 - (a.value - 1.0) / a.value * _solve_rows(rows, k, a)[0]
+    num, den = math.log(float(np.dot(weights, best[1:]))), math.log(float(best[0]))
+    value = a.value / (a.value - 1.0) * (num - den)
+    return LeakageReport(value, k, a, num, den, _flatness(rows, live, k, a))
 
 
 def robustness_condition(
@@ -142,25 +152,6 @@ def robustness_condition(
     a = as_alpha(alpha)
     if a.is_inf:
         raise DomainError("robustness condition requires a finite order")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"guess budget must be a positive integer, got {k!r}")
-    threshold = 1.0 / k
-    best = -1.0
-    where: tuple = ()
-    marg = tilted(joint.marginal_x(), a).probs
-    x = int(np.argmax(marg))
-    best, where = float(marg[x]), ("marginal", x)
-    py = joint.probs.sum(axis=0)
-    for y in range(joint.probs.shape[1]):
-        if py[y] <= 0.0:
-            continue
-        cond = tilted(conditional_pmf(joint, y), a).probs
-        x = int(np.argmax(cond))
-        if float(cond[x]) > best:
-            best, where = float(cond[x]), ("conditional", y, x)
-    return RobustnessResult(
-        ok=best <= threshold + 1e-12,
-        max_entry=best,
-        threshold=threshold,
-        location=where,
-    )
+    k = _check_budget(k)
+    rows, _, live = _joint_rows(joint)
+    return _flatness(rows, live, k, a)

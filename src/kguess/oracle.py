@@ -29,6 +29,7 @@ from .core import (
     KGuessError,
     Pmf,
     SizeError,
+    _check_budget,
     as_alpha,
     as_pmf,
 )
@@ -160,8 +161,7 @@ def minimize_expected_loss(
     a = as_alpha(alpha)
     if a.is_inf:
         raise DomainError("numerical oracle handles finite orders only")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"guess budget must be a positive integer, got {k!r}")
+    k = _check_budget(k)
     if tol <= 0.0:
         raise DomainError("tolerance must be positive")
     pos = np.flatnonzero(pmf.probs > 0.0)
@@ -398,9 +398,10 @@ def _phase_one(
 def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
     """Exact test that ``t`` is a nonnegative combination of k-subset columns.
 
-    The input is snapped to the rational grid with denominator 10**9 and the
-    linear system is solved in exact arithmetic, so the verdict carries no
-    floating-point doubt.  Limited to n <= 20 and at most 10**5 subsets.
+    The input is snapped to the rational grid with denominator 10**9, keeping
+    its total at the grid point nearest sum(t), and the linear system is
+    solved in exact arithmetic, so the verdict carries no floating-point
+    doubt.  Limited to n <= 20 and at most 10**5 subsets.
     Under the usual normalization sum(t) = k, feasibility here coincides
     with coverage admissibility.
     """
@@ -409,8 +410,7 @@ def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
         raise DomainError("feasibility test needs a nonempty 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise DomainError("feasibility test needs finite entries")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"guess budget must be a positive integer, got {k!r}")
+    k = _check_budget(k)
     n = arr.size
     if n > _MAX_ROWS:
         raise SizeError(f"exact feasibility limited to n <= {_MAX_ROWS}, got {n}")
@@ -419,7 +419,13 @@ def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
         raise SizeError(
             f"exact feasibility limited to {_MAX_COLUMNS} subsets, got {ncols}"
         )
-    b = [Fraction(round(float(v) * _SCALE), _SCALE) for v in arr]
+    # Largest-remainder rounding keeps the total at round(sum(t) * 1e9); entry
+    # by entry rounding can move it and so reject an admissible coverage.
+    scaled = arr * _SCALE
+    grid = np.floor(scaled)
+    short = round(float(arr.sum()) * _SCALE) - int(grid.sum())
+    grid[np.argsort(grid - scaled, kind="stable")[: max(short, 0)]] += 1.0
+    b = [Fraction(int(v), _SCALE) for v in grid]
     columns = list(itertools.combinations(range(n), k))
     if ncols == 0:
         feasible = all(bi == 0 for bi in b)

@@ -20,6 +20,8 @@ from .core import (
     KGuessError,
     Pmf,
     SUM_TOL,
+    _check_budget,
+    _freeze,
     as_alpha,
     as_pmf,
 )
@@ -67,8 +69,7 @@ def is_admissible(values: "np.ndarray | object", k: int) -> Admissibility:
         raise DomainError("admissibility needs a nonempty 1-d vector")
     if not np.all(np.isfinite(arr)):
         raise DomainError("admissibility needs finite entries")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"guess budget must be a positive integer, got {k!r}")
+    k = _check_budget(k)
     bad = np.flatnonzero((arr < -_BOUND_SLACK) | (arr > 1.0 + _BOUND_SLACK))
     if bad.size:
         i = int(bad[0])
@@ -130,12 +131,9 @@ class SubsetMixture:
         if abs(total - 1.0) > SUM_TOL:
             raise DomainError(f"weights sum to {total!r}, outside 1 +/- {SUM_TOL}")
         w = w / total
-        cum = np.cumsum(w)
-        for arr in (s, w, cum):
-            arr.flags.writeable = False
-        object.__setattr__(self, "subsets", s)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_cum_weights", cum)
+        object.__setattr__(self, "subsets", _freeze(s, np.int64))
+        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "_cum_weights", _freeze(np.cumsum(w)))
 
     @property
     def k(self) -> int:
@@ -164,11 +162,13 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     one symbol per whole-number window, which yields at most n distinct
     subsets whose weighted union reproduces the coverage exactly.  Symbols
     with zero coverage never appear.  The output is deterministic: cells
-    are emitted left to right and duplicate subsets are merged.
+    are emitted left to right and duplicate subsets are merged.  Subsets
+    hold ``cov.spent`` symbols, fewer than ``cov.k`` when the coverage
+    spends fewer guesses (a budget above the support size).
     """
     if not isinstance(cov, CoverageVector):
         raise DomainError("realize_coverage expects a CoverageVector")
-    k = cov.k
+    k = cov.spent
     verdict = is_admissible(cov.t, k)
     if not verdict:
         raise AdmissibilityError(f"coverage not realizable: {verdict.detail}")

@@ -9,11 +9,13 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 import kguess.cli
 from kguess.cli import main
 from kguess.core import ConvergenceError
+from kguess.guessing import minimal_loss
 
 LN2 = math.log(2.0)
 
@@ -344,6 +346,32 @@ class TestVerify:
         assert outs["oracle_skipped"] is True
         assert outs["closed_value"] == 0.0
         assert "reason" in outs
+
+    def test_optimal_coverages_pass_the_exact_lp(self, capsys, tmp_path):
+        # The first pmf's optimal coverage loses its total when each entry is
+        # rounded to the 1e-9 grid on its own; the LP must still accept it.
+        rng = np.random.default_rng(0)
+        rng.dirichlet(np.ones(10))
+        cases = [(rng.dirichlet(np.ones(10)), 3, "2")]
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            n = int(rng.integers(3, 11))
+            alpha = str(rng.choice(["0.5", "2", "5"]))
+            cases.append((rng.dirichlet(np.ones(n)), int(rng.integers(1, n)), alpha))
+        drifted = 0
+        for i, (p, k, alpha) in enumerate(cases):
+            path = tmp_path / f"pmf-{i}.json"
+            path.write_text(json.dumps({"kind": "pmf", "probs": p.tolist()}))
+            code, out, _ = run(capsys, ["verify", str(path), "-k", str(k), "--alpha", alpha])
+            assert code == 0
+            outs = payload(out)["outputs"]
+            assert outs["admissible"] is True
+            assert outs["lp_feasible"] is True
+            assert outs["checks_agree"] is True
+            t = minimal_loss(p, k, float(alpha)).coverage.t
+            drifted += sum(round(v * 1e9) for v in t) != k * 10**9
+        # the inputs do exercise the rounding fault
+        assert drifted >= 1
 
     def test_convergence_failure_exit_code(self, capsys, files, monkeypatch):
         def explode(*args, **kwargs):

@@ -41,6 +41,31 @@ def normalize(raw: list[float]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# public names
+# ---------------------------------------------------------------------------
+
+
+def test_public_names_unchanged():
+    import kguess
+
+    assert set(kguess.__all__) == {
+        "__version__", "Alpha", "Pmf", "JointPmf", "Entropy", "SortedPmf",
+        "CoverageVector", "LossReport", "SubsetMixture", "Admissibility",
+        "LeakageReport", "RobustnessResult", "CappedSimplex", "OracleSolution",
+        "FeasibilityResult", "KGuessError", "ParseError",
+        "InvalidDistributionError", "DomainError", "BudgetError",
+        "DegenerateColumnError", "AdmissibilityError", "SizeError",
+        "ConvergenceError", "as_alpha", "as_pmf", "as_joint", "alpha_loss",
+        "tilted", "renyi_entropy", "arimoto_conditional_entropy",
+        "conditional_pmf", "threshold_rank", "minimal_loss", "optimal_coverage",
+        "minimal_loss_conditional", "is_admissible", "realize_coverage",
+        "sample_guesses", "strategy_loss", "max_expectation", "alpha_leakage",
+        "robustness_condition", "project_capped_simplex",
+        "minimize_expected_loss", "lp_feasible",
+    }
+
+
+# ---------------------------------------------------------------------------
 # Alpha
 # ---------------------------------------------------------------------------
 
@@ -70,6 +95,10 @@ class TestAlpha:
             Alpha(-2.0)
         with pytest.raises(DomainError):
             Alpha(float("nan"))
+        with pytest.raises(DomainError):
+            Alpha(1e-320)  # sub-normal
+        with pytest.raises(DomainError):
+            alpha_loss(0.5, 1e-320)
 
     def test_str_forms(self):
         assert str(Alpha.one()) == "1"
@@ -105,6 +134,10 @@ class TestAlphaLoss:
         assert alpha_loss(0.0, 1) == math.inf
         assert alpha_loss(0.0, 2) == pytest.approx(2.0)
         assert alpha_loss(0.0, 5) == pytest.approx(1.25)
+
+    def test_overflow_is_infinite(self):
+        # 1 / beta * (1 - p ** beta) with beta = -1 and p = 1e-320
+        assert alpha_loss(1e-320, 0.5) == math.inf
 
     @given(st.floats(min_value=1e-6, max_value=1.0))
     def test_continuous_through_order_one(self, p):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kguess.core import Alpha, BudgetError, DomainError, Pmf, JointPmf
@@ -23,6 +23,13 @@ MAIN_PMF = Pmf([0.7, 0.2, 0.1])
 
 pmf_raws = st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=10)
 orders = st.sampled_from([0.3, 0.5, 0.9, 1.5, 2.0, 5.0, 20.0])
+# Pmfs with exact ties (small integer weights) or atoms near zero, and
+# orders spread log-uniformly over 1e-6 ... 1e12.
+tied_raws = st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=10)
+tiny_raws = st.lists(
+    st.sampled_from([1.0, 0.5, 1e-12, 1e-100, 1e-300, 5e-324, 0.0]), min_size=2, max_size=10
+)
+extreme_orders = st.floats(min_value=-6.0, max_value=12.0).map(lambda e: 10.0**e)
 
 
 def make_pmf(raw: list[float]) -> Pmf:
@@ -80,6 +87,9 @@ class TestCoverageVector:
     def test_spent_below_budget(self):
         cov = CoverageVector(np.array([1.0, 1.0, 0.0]), 5)
         assert cov.spent == 2
+
+    def test_numpy_integer_budget(self):
+        assert CoverageVector(np.array([1.0, 0.0]), np.int64(1)).k == 1
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +176,26 @@ class TestMinimalLossExamples:
             minimal_loss(MAIN_PMF, 0, 2)
         with pytest.raises(DomainError):
             minimal_loss(MAIN_PMF, -1, 2)
+        with pytest.raises(DomainError):
+            minimal_loss(MAIN_PMF, True, 2)
+        with pytest.raises(DomainError):
+            CoverageVector(np.array([1.0, 0.0]), True)
 
     def test_optimal_coverage_matches_report(self):
         cov = optimal_coverage(MAIN_PMF, 2, 2)
         assert cov.t == pytest.approx([1.0, 0.8, 0.2], abs=1e-12)
+
+    def test_tiny_order_overflows_to_infinity(self):
+        # the true loss is about 3**999 / 999, beyond float range
+        report = minimal_loss(Pmf([0.5, 0.3, 0.2]), 1, 0.001)
+        assert report.value == math.inf
+        assert report.multiplier == math.inf
+        assert report.coverage.t.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_order_keeps_the_budget(self):
+        report = minimal_loss(Pmf.uniform(8), 4, 1e20)
+        assert report.coverage.t == pytest.approx([0.5] * 8, abs=1e-12)
+        assert report.coverage.spent == 4
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +269,7 @@ class TestMinimalLossProperties:
         assert np.all(np.diff(t[order]) <= 1e-9)
 
     @given(pmf_raws)
+    @example(raw=[1.0] * 10)
     @settings(max_examples=60)
     def test_limits_match_special_orders(self, raw):
         pmf = make_pmf(raw)
@@ -254,6 +281,27 @@ class TestMinimalLossProperties:
         assert minimal_loss(pmf, k, 1 - 1e-6).value == pytest.approx(at_one, abs=1e-4)
         at_inf = minimal_loss(pmf, k, Alpha.infinity()).value
         assert minimal_loss(pmf, k, 1e6).value == pytest.approx(at_inf, abs=1e-4)
+
+    @given(
+        st.one_of(tied_raws, tiny_raws),
+        extreme_orders,
+        st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=300)
+    def test_extreme_orders_give_a_number_or_a_domain_error(self, raw, alpha, k):
+        arr = np.array(raw, dtype=float)
+        if arr.sum() == 0.0:
+            return
+        pmf = Pmf(arr / arr.sum())
+        try:
+            report = minimal_loss(pmf, k, alpha)
+        except DomainError:
+            return
+        assert not math.isnan(report.value) and report.value >= 0.0
+        assert report.multiplier > 0.0
+        spent = min(k, pmf.support_size)
+        assert abs(report.coverage.t.sum() - spent) <= 1e-9
+        assert np.all(report.coverage.t >= 0.0) and np.all(report.coverage.t <= 1.0)
 
     @given(pmf_raws, orders, st.integers(min_value=1, max_value=9))
     @settings(max_examples=100)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kguess.core import Alpha, DomainError, JointPmf, Pmf
-from kguess.guessing import minimal_loss
+from kguess.core import Alpha, DomainError, JointPmf, Pmf, conditional_pmf, tilted
+from kguess.guessing import minimal_loss, minimal_loss_conditional
 from kguess.leakage import (
     alpha_leakage,
     max_expectation,
@@ -107,6 +107,10 @@ class TestAlphaLeakage:
             alpha_leakage(JOINT22, 1, Alpha.infinity())
         with pytest.raises(DomainError):
             alpha_leakage(JOINT22, 0, 2)
+        with pytest.raises(DomainError):
+            alpha_leakage(JOINT22, True, 2)
+        with pytest.raises(DomainError):
+            robustness_condition(JOINT22, True, 2)
 
     @given(pmf_raws, pmf_raws, finite_orders, st.integers(min_value=1, max_value=3))
     @settings(max_examples=60)
@@ -197,3 +201,80 @@ class TestRobustnessCondition:
         joint = near_uniform_joint(rng, 6, 3)
         report = alpha_leakage(joint, 2, 2)
         assert report.robust == robustness_condition(joint, 2, 2).ok
+
+
+# ---------------------------------------------------------------------------
+# batched columns against the per-column public functions
+# ---------------------------------------------------------------------------
+
+
+def reference_leakage(joint: JointPmf, k: int, alpha: float) -> float:
+    """alpha_leakage as a loop over conditional_pmf columns."""
+    py = joint.probs.sum(axis=0)
+    numerator = 0.0
+    for y in range(joint.probs.shape[1]):
+        if py[y] > 0.0:
+            numerator += float(py[y]) * max_expectation(conditional_pmf(joint, y), k, alpha)
+    denominator = max_expectation(joint.marginal_x(), k, alpha)
+    return alpha / (alpha - 1.0) * (math.log(numerator) - math.log(denominator))
+
+
+def reference_flatness(joint: JointPmf, alpha: float) -> tuple[float, tuple]:
+    """Largest tilted entry and its location, marginal first, then columns."""
+    marg = tilted(joint.marginal_x(), alpha).probs
+    best, where = float(marg.max()), ("marginal", int(np.argmax(marg)))
+    py = joint.probs.sum(axis=0)
+    for y in range(joint.probs.shape[1]):
+        if py[y] > 0.0:
+            cond = tilted(conditional_pmf(joint, y), alpha).probs
+            if float(cond.max()) > best:
+                best, where = float(cond.max()), ("conditional", y, int(np.argmax(cond)))
+    return best, where
+
+
+def batch_test_joints() -> list[JointPmf]:
+    rng = np.random.default_rng(17)
+    joints = []
+    for n_x, n_y in ((2, 2), (5, 3), (8, 8), (12, 20)):
+        joints.append(JointPmf(rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y)))
+        near = np.outer(rng.dirichlet(np.ones(n_x)), rng.dirichlet(np.ones(n_y)))
+        near *= 1.0 + 0.05 * rng.uniform(-1.0, 1.0, size=near.shape)
+        joints.append(JointPmf(near / near.sum()))
+        zeros = rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y)
+        zeros[:, rng.choice(n_y, size=max(1, n_y // 3), replace=False)] = 0.0
+        zeros[rng.integers(n_x), :] = 0.0
+        joints.append(JointPmf(zeros / zeros.sum()))
+    return joints
+
+
+def test_batched_columns_match_per_column_reference():
+    for joint in batch_test_joints():
+        n_x = joint.shape[0]
+        for alpha in (0.5, 2.0, 5.0):
+            for k in sorted({1, 2, max(1, n_x - 1)}):
+                report = alpha_leakage(joint, k, alpha)
+                assert report.value == pytest.approx(
+                    max(reference_leakage(joint, k, alpha), 0.0), abs=1e-12
+                )
+                best, where = reference_flatness(joint, alpha)
+                for condition in (report.robustness, robustness_condition(joint, k, alpha)):
+                    assert condition.location == where
+                    assert condition.max_entry == pytest.approx(best, abs=1e-14)
+                    assert condition.ok == (best <= 1.0 / k + 1e-12)
+                assert report.robust == report.robustness.ok
+
+                total, columns = minimal_loss_conditional(joint, k, alpha)
+                py = joint.probs.sum(axis=0)
+                expected_total = 0.0
+                for y, column in enumerate(columns):
+                    if py[y] <= 0.0:
+                        assert column is None
+                        continue
+                    single = minimal_loss(conditional_pmf(joint, y), k, alpha)
+                    expected_total += float(py[y]) * single.value
+                    assert column.value == pytest.approx(single.value, rel=1e-12, abs=1e-15)
+                    assert column.threshold_rank == single.threshold_rank
+                    assert column.multiplier == pytest.approx(single.multiplier, rel=1e-12)
+                    assert column.coverage.k == single.coverage.k
+                    assert np.max(np.abs(column.coverage.t - single.coverage.t)) <= 1e-12
+                assert total == pytest.approx(expected_total, rel=1e-12, abs=1e-15)

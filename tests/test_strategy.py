@@ -178,6 +178,13 @@ class TestRealizeCoverage:
         with pytest.raises(DomainError):
             realize_coverage([1.0, 0.8, 0.2])
 
+    def test_budget_above_support_uses_the_guesses_spent(self):
+        report = minimal_loss(Pmf([0.5, 0.5, 0.0, 0.0]), 3, 2)
+        assert report.coverage.spent == 2
+        mix = realize_coverage(report.coverage)
+        assert mix.subsets.tolist() == [[0, 1]]
+        assert mix.weights.tolist() == [1.0]
+
     @given(
         st.integers(min_value=2, max_value=20),
         st.integers(min_value=1, max_value=19),
