@@ -132,9 +132,20 @@ def alpha_leakage(
         raise DomainError("leakage requires a finite order other than one")
     k = _check_budget(k)
     rows, weights, live = _joint_rows(joint)
-    # best expectation of each row, as in max_expectation
-    best = 1.0 - (a.value - 1.0) / a.value * _solve_rows(rows, k, a)[0]
-    num, den = math.log(float(np.dot(weights, best[1:]))), math.log(float(best[0]))
+    beta = (a.value - 1.0) / a.value
+    t = _solve_rows(rows, k, a)[2]
+    # ln of each row's best expectation sum(p * t ** beta) over its optimal
+    # coverage t (max_expectation's 1 - beta * loss), summed in the log domain
+    # with each row shifted by its largest term: at tiny orders t ** beta
+    # overflows float64 while the leakage itself is finite
+    with np.errstate(divide="ignore"):
+        x = beta * np.log(t)
+    x[rows == 0.0] = -np.inf  # zero atoms add nothing
+    top = x.max(axis=1)
+    best = top + np.log((rows * np.exp(x - top[:, None])).sum(axis=1))
+    shift = best[1:].max()
+    num = shift + math.log(float(np.dot(weights, np.exp(best[1:] - shift))))
+    den = float(best[0])
     value = a.value / (a.value - 1.0) * (num - den)
     return LeakageReport(value, k, a, num, den, _flatness(rows, live, k, a))
 

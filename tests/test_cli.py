@@ -225,6 +225,11 @@ class TestLeakage:
         assert offender["part"] == "conditional"
         assert outs["max_tilted_entry"] > outs["tilted_threshold"]
 
+    def test_tiny_order_answers(self, capsys, files):
+        code, out, _ = run(capsys, ["leakage", files["joint"], "-k", "1", "--alpha", "1e-6"])
+        assert code == 0
+        assert 0.0 < payload(out)["outputs"]["value"] < 1e-6
+
     def test_order_one_is_domain_error(self, capsys, files):
         code, _, err = run(capsys, ["leakage", files["joint"], "-k", "1", "--alpha", "1"])
         assert code == 3

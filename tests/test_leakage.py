@@ -9,8 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kguess.core import Alpha, DomainError, JointPmf, Pmf, conditional_pmf, tilted
-from kguess.guessing import minimal_loss, minimal_loss_conditional
+from kguess.core import (
+    Alpha,
+    DomainError,
+    JointPmf,
+    Pmf,
+    _joint_rows,
+    as_alpha,
+    as_joint,
+    conditional_pmf,
+    tilted,
+)
+from kguess.guessing import _solve_rows, minimal_loss, minimal_loss_conditional
 from kguess.leakage import (
     alpha_leakage,
     max_expectation,
@@ -111,6 +121,42 @@ class TestAlphaLeakage:
             alpha_leakage(JOINT22, True, 2)
         with pytest.raises(DomainError):
             robustness_condition(JOINT22, True, 2)
+
+    def test_tiny_orders_are_finite(self):
+        # Both best expectations overflow float64 below order ~1e-3; the
+        # leakage itself is finite.  At k = 1 it is the norm ratio
+        # (a / (a - 1)) ln(sum_y ||P(., y)||_a / ||P_X||_a), written here
+        # with logs of the norms so that it stays finite too.
+        P = np.array([[0.4, 0.1], [0.1, 0.4]])
+        for alpha in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.5, 2.0, 5.0):
+            log_norm = lambda col: np.logaddexp.reduce(alpha * np.log(col)) / alpha
+            ratio = np.logaddexp(log_norm(P[:, 0]), log_norm(P[:, 1])) - log_norm(P.sum(axis=1))
+            value = alpha_leakage(P, 1, alpha).value
+            assert math.isfinite(value) and value > 0.0
+            assert value == pytest.approx(alpha / (alpha - 1.0) * ratio, rel=1e-9)
+
+    def test_exponents_match_linear_formula(self):
+        # the log-domain exponents agree with ln of the linear best
+        # expectations 1 - beta * loss wherever those are finite
+        rng = np.random.default_rng(3)
+        for case in range(60):
+            m = int(rng.integers(2, 9))
+            P = rng.dirichlet(np.full(m * m, 0.5)).reshape(m, m)
+            if case % 4 == 0:
+                P[:, -1] = 0.0  # a column of zero mass
+            if case % 3 == 0:
+                P[0, :] = 0.0  # a symbol that never occurs
+            P /= P.sum()
+            k, alpha = int(rng.integers(1, m)), float(rng.choice([0.3, 0.5, 2.0, 5.0]))
+            report = alpha_leakage(P, k, alpha)
+            rows, weights, _ = _joint_rows(as_joint(P))
+            best = 1.0 - (alpha - 1.0) / alpha * _solve_rows(rows, k, as_alpha(alpha))[0]
+            assert math.log(float(np.dot(weights, best[1:]))) == pytest.approx(
+                report.numerator_exponent, abs=1e-12
+            )
+            assert math.log(float(best[0])) == pytest.approx(
+                report.denominator_exponent, abs=1e-12
+            )
 
     @given(pmf_raws, pmf_raws, finite_orders, st.integers(min_value=1, max_value=3))
     @settings(max_examples=60)

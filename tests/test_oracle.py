@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,10 @@ from kguess.core import (
 from kguess.guessing import minimal_loss
 from kguess.oracle import (
     CappedSimplex,
+    _first_negative_subset,
+    _project,
+    _snap,
+    _subset_rank,
     lp_feasible,
     minimize_expected_loss,
     project_capped_simplex,
@@ -76,6 +81,44 @@ class TestProjection:
             shift = float(np.mean(lam))
             rebuilt = np.clip(v - shift, 0.0, 1.0)
             assert t == pytest.approx(rebuilt, abs=1e-7)
+
+
+def bisection_projection(v: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
+    """Reference weighted projection: bisect on the multiplier until the
+    bracket is two adjacent floats."""
+    lo = float(np.min(w * (v - 1.0))) - 1.0
+    hi = float(np.max(w * v)) + 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if float(np.sum(np.clip(v - mid / w, 0.0, 1.0))) > k:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - mid / w, 0.0, 1.0)
+
+
+def test_weighted_projection_matches_bisection():
+    # weights span the descent oracle's curvature clip [1e-8, 1e18]; repeated
+    # values make tied breakpoints, and large or negative entries sit at the
+    # bounds of the box; the last cases have the size of the largest pmfs the
+    # oracle solves
+    rng = np.random.default_rng(20261018)
+    for case in range(620):
+        n = 1000 if case >= 600 else int(rng.integers(1, 25))
+        k = int(rng.integers(1, n + 1))
+        v = rng.normal(0.5, 1.0, n) * 10.0 ** rng.uniform(-3.0, 1.0)
+        w = 10.0 ** rng.uniform(-8.0, 18.0, n)
+        if case % 3 == 0:
+            v[rng.random(n) < 0.3] = 2.0
+            v[rng.random(n) < 0.3] = -1.0
+        if case % 4 == 0:
+            v = np.round(v, 1)
+            w = 10.0 ** rng.integers(-8, 19, n).astype(float)
+        if case % 5 == 0:
+            w[:] = w[0]
+        t = _project(v, k, w)
+        assert abs(float(t.sum()) - k) <= 1e-10
+        assert np.all(t >= 0.0) and np.all(t <= 1.0)
+        assert np.max(np.abs(t - bisection_projection(v, k, w))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +257,96 @@ class TestLpFeasible:
 
             assert is_admissible(t, k).ok
             assert lp_feasible(t, k).feasible
+
+
+def enumerating_phase_one(columns, b, m):
+    """Reference: the phase-one simplex that lists every k-subset column and
+    prices them in order (Bland's rule)."""
+    sign = [1 if bi >= 0 else -1 for bi in b]
+    x_b = [abs(bi) for bi in b]
+    ncols = len(columns)
+    basis = [ncols + i for i in range(m)]
+    b_inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    col_sets = [frozenset(c) for c in columns]
+    while True:
+        y = [Fraction(0)] * m
+        for i in range(m):
+            if basis[i] >= ncols:
+                for r in range(m):
+                    y[r] += b_inv[i][r]
+        entering = next(
+            (j for j in range(ncols) if sum(-sign[r] * y[r] for r in col_sets[j]) < 0),
+            -1,
+        )
+        if entering < 0:
+            objective = sum(x_b[i] for i in range(m) if basis[i] >= ncols)
+            basic = [(basis[i], x_b[i]) for i in range(m) if basis[i] < ncols]
+            return objective == 0, y, basic
+        d = [sum(b_inv[i][r] * sign[r] for r in col_sets[entering]) for i in range(m)]
+        ratio, leave = None, -1
+        for i in range(m):
+            if d[i] > 0:
+                r = x_b[i] / d[i]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio, leave = r, i
+        piv = d[leave]
+        b_inv[leave] = [v / piv for v in b_inv[leave]]
+        x_b[leave] = x_b[leave] / piv
+        for i in range(m):
+            if i != leave and d[i] != 0:
+                di = d[i]
+                b_inv[i] = [u - di * v for u, v in zip(b_inv[i], b_inv[leave])]
+                x_b[i] -= di * x_b[leave]
+        basis[leave] = entering
+
+
+def enumerating_lp(t: np.ndarray, k: int):
+    """(feasible, witness, certificate) as the enumerating simplex gives them."""
+    b = _snap(np.asarray(t, dtype=np.float64))
+    n = len(b)
+    columns = list(itertools.combinations(range(n), k))
+    feasible, y, basic = enumerating_phase_one(columns, b, n)
+    if feasible:
+        return True, tuple((columns[j], val) for j, val in sorted(basic) if val != 0), None
+    return False, None, tuple(-y[i] * (1 if b[i] >= 0 else -1) for i in range(n))
+
+
+def test_pricing_matches_enumeration():
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            subsets = list(itertools.combinations(range(n), k))
+            assert [_subset_rank(s, n) for s in subsets] == list(range(len(subsets)))
+            for _ in range(20):
+                c = rng.integers(-4, 5, n).tolist()
+                first = next((s for s in subsets if sum(c[i] for i in s) < 0), None)
+                assert _first_negative_subset(c, k) == first
+
+
+def test_lp_matches_enumerating_simplex():
+    cases = []
+    # the 0.25-step grid of acceptance criterion 4, inside and beyond the box
+    for grid, sizes in (([i * 0.25 for i in range(5)], range(1, 6)),
+                        ([i * 0.25 for i in range(-1, 6)], range(2, 5))):
+        for n in sizes:
+            for k in range(1, min(n, 3) + 1):
+                cases += [(np.array(t), k) for t in itertools.product(grid, repeat=n)
+                          if sum(t) == float(k)]
+    # random coverages with the right total, each with one entry raised by
+    # 1e-3 and rounded to eighths (ties make degenerate pivots)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(2, 11))
+        k = int(rng.integers(1, n))
+        t = rng.uniform(0.0, 1.0, n)
+        t *= k / t.sum()
+        over = t.copy()
+        over[int(np.argmax(t))] += 1e-3
+        cases += [(t, k), (over, k), (np.round(t * 8.0) / 8.0, k)]
+    # the pmf whose optimal coverage loses its total under entry-wise rounding
+    rng = np.random.default_rng(0)
+    rng.dirichlet(np.ones(10))
+    cases.append((minimal_loss(rng.dirichlet(np.ones(10)), 3, 2).coverage.t, 3))
+    for t, k in cases:
+        result = lp_feasible(t, k)
+        assert (result.feasible, result.witness, result.certificate) == enumerating_lp(t, k)
