@@ -223,6 +223,27 @@ class TestLpFeasible:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             lp_feasible(np.full(30, 0.5), 15)
+        with pytest.raises(SizeError):
+            lp_feasible(np.full(21, 0.5), 10)
+
+    def test_largest_size_gives_verified_witness(self):
+        # n = 20 at k = 8 is C(20, 8) = 125,970 columns, all priced, none listed
+        p = np.random.default_rng(0).dirichlet(np.ones(20))
+        t = minimal_loss(p, 8, 2).coverage.t
+        result = lp_feasible(t, 8)
+        assert result.feasible
+        recon = [Fraction(0)] * 20
+        for subset, weight in result.witness:
+            assert weight > 0 and len(subset) == 8
+            for i in subset:
+                recon[i] += weight
+        assert recon == _snap(t)
+
+    def test_pivot_count_is_pinned(self):
+        t = minimal_loss(np.arange(1, 13) / 78.0, 4, 2).coverage.t
+        counts = {lp_feasible(t, 4).pivots for _ in range(3)}
+        assert counts == {178}
+        assert lp_feasible(np.zeros(2), 3).pivots == 0
 
     def test_capped_simplex_type(self):
         cs = CappedSimplex(4, 2)
@@ -350,3 +371,73 @@ def test_lp_matches_enumerating_simplex():
     for t, k in cases:
         result = lp_feasible(t, k)
         assert (result.feasible, result.witness, result.certificate) == enumerating_lp(t, k)
+
+
+def fraction_phase_one(b, k):
+    """Reference: the phase-one simplex with a dense ``Fraction`` basis
+    inverse, pricing columns greedily like the library; it also counts the
+    columns that entered."""
+    m = len(b)
+    sign = [1 if bi >= 0 else -1 for bi in b]
+    x_b = [abs(bi) for bi in b]
+    ncols = math.comb(m, k)
+    basis = [ncols + i for i in range(m)]
+    b_inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    columns = {}
+    pivots = 0
+    while True:
+        y = [Fraction(0)] * m
+        for i in range(m):
+            if basis[i] >= ncols:
+                row = b_inv[i]
+                for r in range(m):
+                    y[r] += row[r]
+        scale = 1
+        for v in y:
+            scale = scale // math.gcd(scale, v.denominator) * v.denominator
+        subset = _first_negative_subset(
+            [-sign[r] * y[r].numerator * (scale // y[r].denominator) for r in range(m)], k
+        )
+        if subset is None:
+            objective = sum(x_b[i] for i in range(m) if basis[i] >= ncols)
+            basic = [(basis[i], x_b[i]) for i in range(m) if basis[i] < ncols]
+            return objective == 0, y, basic, columns, pivots
+        pivots += 1
+        entering = _subset_rank(subset, m)
+        columns[entering] = subset
+        d = [sum(b_inv[i][r] * sign[r] for r in subset) for i in range(m)]
+        ratio, leave = None, -1
+        for i in range(m):
+            if d[i] > 0:
+                r = x_b[i] / d[i]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio, leave = r, i
+        piv = d[leave]
+        b_inv[leave] = [v / piv for v in b_inv[leave]]
+        x_b[leave] = x_b[leave] / piv
+        for i in range(m):
+            if i != leave and d[i] != 0:
+                di = d[i]
+                b_inv[i] = [u - di * v for u, v in zip(b_inv[i], b_inv[leave])]
+                x_b[i] -= di * x_b[leave]
+        basis[leave] = entering
+
+
+def test_integer_pivots_match_fraction_simplex():
+    # sizes beyond the enumerating reference: optimal coverages, the same with
+    # the largest entry raised by 1e-3, and rounded to eighths
+    rng = np.random.default_rng(2026)
+    for n, k in ((11, 3), (12, 4), (13, 5), (14, 3), (15, 7), (16, 6)):
+        t = minimal_loss(rng.dirichlet(np.ones(n)), k, 2.0).coverage.t
+        over = t.copy()
+        over[int(np.argmax(t))] += 1e-3
+        for v in (t, over, np.round(t * 8.0) / 8.0):
+            b = _snap(v)
+            feasible, y, basic, columns, pivots = fraction_phase_one(b, k)
+            if feasible:
+                expected = (True, tuple((columns[j], w) for j, w in sorted(basic) if w != 0), None)
+            else:
+                expected = (False, None, tuple(-y[i] * (1 if b[i] >= 0 else -1) for i in range(n)))
+            result = lp_feasible(v, k)
+            assert (result.feasible, result.witness, result.certificate) == expected
+            assert result.pivots == pivots
