@@ -10,6 +10,10 @@ the per-symbol coverage probabilities, all in closed form.
 
 Every caller runs on one kernel, ``_solve_rows``, which solves the rows of a
 matrix at once, centred in the log domain so that extreme orders stay stable.
+The closed form needs only the k largest atoms of a row in order; the tail
+enters through sums.  So the kernel sorts small inputs whole, and on larger
+ones partitions each row at rank k and sorts only the k atoms in front:
+O(n + k log k) per row instead of O(n log n).
 """
 
 from __future__ import annotations
@@ -162,16 +166,46 @@ class LossReport:
         object.__setattr__(self, "threshold_rank", int(self.threshold_rank))
 
 
+# Below this many elements, sorting whole rows and summing their suffixes in
+# one pass is cheaper than partitioning and a separate tail sum.  Ordering one
+# row of 64 took 3 us sorted against 25 us partitioned; one row of 2048, 122
+# against 38 us; a 64 x 64 matrix, 113 against 65 us (numpy 2.4, one core).
+_PARTITION_MIN_SIZE = 2048
+
+
+def _top_k_order(P: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``P``, column indices with the k largest atoms first, in
+    descending order with ties by column; the rest follow in any order."""
+    n = P.shape[1]
+    if P.size < _PARTITION_MIN_SIZE or k >= n - 1:
+        return np.argsort(-P, axis=1, kind="stable")
+    order = np.argpartition(-P, k - 1, axis=1)  # introselect: O(n) per row
+    top = order[:, :k]
+    top.sort(axis=1)  # by column, so that the stable sort below breaks ties by it
+    values = np.take_along_axis(P, top, axis=1)
+    top[:] = np.take_along_axis(top, np.argsort(-values, axis=1, kind="stable"), axis=1)
+    # An atom tied with the k-th value but left outside the cut may have a lower
+    # column than one inside it; such rows get the full sort.
+    kth = np.take_along_axis(P, top[:, -1:], axis=1)
+    tied = np.flatnonzero((P >= kth).sum(axis=1) > k)
+    if tied.size:
+        order[tied] = np.argsort(-P[tied], axis=1, kind="stable")
+    return order
+
+
 def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
     """Per row of ``P`` (nonnegative, summing to one): loss, threshold rank,
     read-only coverage and multiplier.  Ties keep column order.  A row with at
     most k positive atoms covers them: loss 0, rank their count, multiplier
-    the smallest of them."""
+    the smallest of them.
+
+    Rows are put in top-k order by ``_top_k_order``: sorted whole on small
+    inputs, partitioned at rank k on larger ones, O(n + k log k) per row."""
     rows, n = P.shape
-    flat = np.argsort(-P, axis=1, kind="stable")
+    flat = _top_k_order(P, k)
     flat += np.arange(0, rows * n, n)[:, None]  # positions in P.reshape(-1)
-    S = P.reshape(-1)[flat]  # every row sorted, largest atom first
-    if k < n and S[:, k].min() > 0.0:  # every row has more than k positive atoms
+    S = P.reshape(-1)[flat]  # every row: its k largest atoms first, in order
+    if k < n and S[:, k].min() > 0.0:  # then every row has more than k positive atoms
         value, rank, T, multiplier = _solve_sorted_rows(S, k, a)
         spent = k
     else:
@@ -183,15 +217,17 @@ def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
         if live.size:
             solved = _solve_sorted_rows(S[live], k, a)
             value[live], rank[live], T[live], multiplier[live] = solved
-    if not np.abs(T.sum(axis=1) - spent).max() <= SUM_TOL or math.isnan(value.sum()):
-        raise KGuessError("closed form missed the guesses it spends; this is a bug")
-    t = np.empty_like(T)
+    t = np.zeros(P.shape)  # C order, so that the scatter below writes into t itself
     t.reshape(-1)[flat] = T
+    # Checked after the scatter, in column order: a lost scatter cannot pass.
+    if not np.abs(t.sum(axis=1) - spent).max() <= SUM_TOL or math.isnan(value.sum()):
+        raise KGuessError("closed form missed the guesses it spends; this is a bug")
     return value, rank, _freeze(t), multiplier
 
 
 def _solve_sorted_rows(S: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
-    """``_solve_rows`` on sorted rows with more than k positive atoms, unscattered."""
+    """``_solve_rows`` on rows with more than k positive atoms, laid out by
+    ``_top_k_order``, unscattered."""
     rows, n = S.shape
     if a.is_inf:
         T = np.broadcast_to(np.arange(n) < k, (rows, n)).astype(np.float64)
@@ -202,7 +238,15 @@ def _solve_sorted_rows(S: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...
         logp = np.log(S)
         # Centred on the largest atom, so that a * ln p cannot swamp ln m.
         x = a.value * (logp - logp[:, :1])
-        suffix = np.logaddexp.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+        # ln of the sum from each rank r < k to the end of the row; the terms
+        # past rank k may come in any order.
+        if S.size < _PARTITION_MIN_SIZE:
+            suffix = np.logaddexp.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+        else:  # the tail as one log-sum-exp, shifted by the k-th term that bounds it
+            shift = x[:, k - 1:k]
+            tail = np.log(np.exp(x[:, k:] - shift).sum(axis=1, keepdims=True)) + shift
+            suffix = np.concatenate((tail, x[:, k - 1::-1]), axis=1)
+            suffix = np.logaddexp.accumulate(suffix, axis=1)[:, :0:-1]
         # The threshold is the first rank r with (k - r + 1) w_r <= sum(w_r:),
         # where this test is False (or NaN); rank k always passes.
         factors = np.log(np.arange(k, 0, -1, dtype=np.float64))  # ln(k - r + 1)

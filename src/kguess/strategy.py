@@ -130,10 +130,19 @@ class SubsetMixture:
         total = float(w.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise DomainError(f"weights sum to {total!r}, outside 1 +/- {SUM_TOL}")
-        w = w / total
-        object.__setattr__(self, "subsets", _freeze(s, np.int64))
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "_cum_weights", _freeze(np.cumsum(w)))
+        self._fill(s, w / total)
+
+    @classmethod
+    def _from_checked(cls, subsets: np.ndarray, weights: np.ndarray) -> "SubsetMixture":
+        """Mixture from parts its caller has checked: no copy, sort or re-check."""
+        mix = object.__new__(cls)
+        mix._fill(subsets, weights / weights.sum())
+        return mix
+
+    def _fill(self, subsets: np.ndarray, weights: np.ndarray) -> None:
+        object.__setattr__(self, "subsets", _freeze(subsets, np.int64))
+        object.__setattr__(self, "weights", _freeze(weights))
+        object.__setattr__(self, "_cum_weights", _freeze(np.cumsum(weights)))
 
     @property
     def k(self) -> int:
@@ -219,7 +228,10 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
         weights[longer] += widths[starts[longer] + step]
 
     ranks = ranks[starts]
-    mix = SubsetMixture(subsets=order[ranks], weights=weights)
+    # Members are distinct (ranks strictly increase, checked above) and weights
+    # positive (cells wider than _MERGE_TOL); the coverage is checked below.
+    mix = SubsetMixture._from_checked(order[ranks], weights)
+    del ranks  # as large as the mixture: free it before the coverage check
     induced = mix.coverage(cov.t.size)
     if float(np.max(np.abs(induced - cov.t))) > SUM_TOL:
         raise KGuessError("decomposition failed to reproduce the coverage; bug")

@@ -116,6 +116,16 @@ class TestLoss:
         assert len(outs["columns"]) == 2
         assert outs["columns"][0]["weight"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_joint_at_infinite_order_covers_each_columns_top_k(self, capsys, tmp_path):
+        path = tmp_path / "j.json"
+        probs = [[0.2, 0.1], [0.1, 0.2], [0.15, 0.05], [0.05, 0.15]]
+        path.write_text(json.dumps({"kind": "joint", "probs": probs}))
+        code, out, _ = run(capsys, ["loss", str(path), "-k", "2", "--alpha", "inf"])
+        assert code == 0
+        columns = payload(out)["outputs"]["columns"]
+        assert [c["coverage"] for c in columns] == [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]
+        assert [c["guesses_spent"] for c in columns] == [2, 2]
+
     def test_bits_at_order_one(self, capsys, files):
         code, out, _ = run(
             capsys, ["loss", files["uniform4"], "-k", "2", "--alpha", "1", "--bits"]

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kguess.core import Alpha, BudgetError, DomainError, Pmf, JointPmf
+from kguess.core import SUM_TOL, Alpha, BudgetError, DomainError, KGuessError, Pmf, JointPmf
 from kguess.guessing import (
+    _PARTITION_MIN_SIZE,
     CoverageVector,
     SortedPmf,
+    _solve_rows,
+    _top_k_order,
     minimal_loss,
     minimal_loss_conditional,
     optimal_coverage,
@@ -158,6 +161,9 @@ class TestMinimalLossExamples:
     def test_infinity_tie_takes_lowest_index(self):
         report = minimal_loss(Pmf([0.25, 0.25, 0.25, 0.25]), 2, Alpha.infinity())
         assert report.coverage.t.tolist() == [1.0, 1.0, 0.0, 0.0]
+        n = 2 * _PARTITION_MIN_SIZE  # partitioned, not sorted whole
+        report = minimal_loss(Pmf.uniform(n), 5, Alpha.infinity())
+        assert report.coverage.t.tolist() == [1.0] * 5 + [0.0] * (n - 5)
 
     def test_budget_covers_support(self):
         report = minimal_loss(Pmf([0.6, 0.4, 0.0]), 5, 2)
@@ -327,6 +333,14 @@ class TestMinimalLossProperties:
 
 
 class TestConditional:
+    def test_infinite_order_covers_each_columns_top_k(self):
+        joint = JointPmf([[0.2, 0.1], [0.1, 0.2], [0.15, 0.05], [0.05, 0.15]])
+        value, columns = minimal_loss_conditional(joint, 2, Alpha.infinity())
+        assert value == pytest.approx(0.3, abs=1e-14)
+        assert columns[0].coverage.t.tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert columns[1].coverage.t.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert [column.coverage.spent for column in columns] == [2, 2]
+
     def test_frozen_example(self):
         joint = JointPmf([[0.4, 0.1], [0.1, 0.4]])
         value, columns = minimal_loss_conditional(joint, 1, 2)
@@ -360,3 +374,125 @@ class TestConditional:
             w * col.value for w, col in zip(weights, columns) if col is not None
         )
         assert value == pytest.approx(total, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's top-k ordering against the full sort
+# ---------------------------------------------------------------------------
+
+
+def full_sort_solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
+    """The closed-form kernel with every row sorted whole and full-length
+    suffix sums, kept as the reference for the partitioned kernel."""
+    rows, n = P.shape
+    flat = np.argsort(-P, axis=1, kind="stable")
+    flat += np.arange(0, rows * n, n)[:, None]
+    S = P.reshape(-1)[flat]
+    if k < n and S[:, k].min() > 0.0:
+        value, rank, T, multiplier = full_sort_solve_sorted_rows(S, k, a)
+        spent = k
+    else:
+        support = (S > 0.0).sum(axis=1)
+        spent = np.minimum(support, k)
+        value, rank, T = np.zeros(rows), support.copy(), (S > 0.0).astype(np.float64)
+        multiplier = S[np.arange(rows), support - 1]
+        live = np.flatnonzero(support > k)
+        if live.size:
+            solved = full_sort_solve_sorted_rows(S[live], k, a)
+            value[live], rank[live], T[live], multiplier[live] = solved
+    if not np.abs(T.sum(axis=1) - spent).max() <= SUM_TOL or math.isnan(value.sum()):
+        raise KGuessError("closed form missed the guesses it spends")
+    t = np.empty(P.shape)  # C order, so that the scatter writes into t
+    t.reshape(-1)[flat] = T
+    return value, rank, t, multiplier
+
+
+def full_sort_solve_sorted_rows(S: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
+    rows, n = S.shape
+    if a.is_inf:
+        T = np.broadcast_to(np.arange(n) < k, (rows, n)).astype(np.float64)
+        value = np.maximum(1.0 - S[:, :k].sum(axis=1), 0.0)
+        return value, np.full(rows, k), T, S[:, k - 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logp = np.log(S)
+        x = a.value * (logp - logp[:, :1])
+        suffix = np.logaddexp.accumulate(x[:, ::-1], axis=1)[:, ::-1]
+        factors = np.log(np.arange(k, 0, -1, dtype=np.float64))
+        s0 = np.argmin(factors + x[:, :k] - suffix[:, :k] > 0.0, axis=1)
+        at, col = np.arange(rows), np.arange(n)
+        while True:
+            lead = logp[at, s0]
+            y = a.value * (logp - lead[:, None])
+            e = np.exp(y)
+            e[col <= s0[:, None]] = 0.0
+            log_total = np.log1p(e.sum(axis=1))
+            log_left = factors[s0]
+            over = log_left > log_total
+            if not over.any():
+                break
+            s0 = s0 + over
+        y += (log_left - log_total)[:, None]
+        y[col < s0[:, None]] = 0.0
+        T = np.exp(y)
+        y[S == 0.0] = 0.0
+        if not a.is_one:
+            beta = (a.value - 1.0) / a.value
+            y *= beta
+            np.expm1(y, out=y)
+            y /= beta
+        y *= S
+        value = -y.sum(axis=1)
+        multiplier = np.exp(lead + (log_total - log_left) / a.value)
+    return value, s0 + 1, T, multiplier
+
+
+def rank_condition_is_tight(row: np.ndarray, k: int, a: Alpha, rank: int) -> bool:
+    """(k - r + 1) p_r ** a == sum over ranks from r of p ** a, for r = rank:
+    then ranks r and r + 1 give the same coverage."""
+    s = np.sort(row[row > 0.0])[::-1]
+    x = a.value * (np.log(s) - math.log(s[0]))
+    lhs = math.log(k - rank + 1) + x[rank - 1]
+    return abs(lhs - np.logaddexp.reduce(x[rank - 1:])) <= 1e-9
+
+
+def partition_cases(rng: np.random.Generator) -> list[np.ndarray]:
+    """Matrices just below and above the partition cut-off: random, integer
+    valued (ties straddle the k-th atom), with tied largest atoms, with zero
+    atoms, and with rows of few positive atoms next to live rows."""
+    cut = _PARTITION_MIN_SIZE
+    cases = []
+    shapes = ((1, cut - 1), (1, cut), (1, cut + 300), ((cut - 1) // 64, 64), (cut // 64, 64), (5, 700))
+    for rows, n in shapes:
+        cases.append(rng.dirichlet(np.ones(n), size=rows))
+        tied = rng.integers(1, 4, size=(rows, n)).astype(float)
+        cases.append(tied / tied.sum(axis=1, keepdims=True))
+        head = rng.random((rows, n))  # five tied largest atoms, inside the top 7
+        head[:, rng.choice(n, size=5, replace=False)] = 2.0
+        cases.append(head / head.sum(axis=1, keepdims=True))
+        zeros = rng.random((rows, n)) ** 4
+        zeros[rng.random((rows, n)) < 0.5] = 0.0
+        zeros[:, 0] = 1.0
+        zeros[: (rows + 1) // 2, 3:] = 0.0  # at most three positive atoms
+        cases.append(zeros / zeros.sum(axis=1, keepdims=True))
+    return cases
+
+
+def test_partition_order_matches_full_sort():
+    rng = np.random.default_rng(2024)
+    orders = [Alpha(v) for v in (1e-6, 0.5, 1.0, 2.0, 20.0, 1e12)] + [Alpha.infinity()]
+    for P in partition_cases(rng):
+        n = P.shape[1]
+        full = np.argsort(-P, axis=1, kind="stable")
+        for k in (1, 2, 7, n - 2, n - 1):
+            assert np.array_equal(_top_k_order(P, k)[:, :k], full[:, :k])
+            for a in orders:
+                value, rank, t, multiplier = _solve_rows(P, k, a)
+                ref_value, ref_rank, ref_t, ref_multiplier = full_sort_solve_rows(P, k, a)
+                for i in np.flatnonzero(rank != ref_rank):
+                    assert rank_condition_is_tight(P[i], k, a, min(rank[i], ref_rank[i]))
+                if a.is_inf:
+                    assert np.array_equal(t, ref_t)
+                assert np.max(np.abs(t - ref_t)) <= 1e-14
+                np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0.0)
+                same = rank == ref_rank
+                np.testing.assert_allclose(multiplier[same], ref_multiplier[same], rtol=1e-12)

@@ -81,6 +81,26 @@ def tied_coverage(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return q / 4.0
 
 
+def mixed_coverages(rng: np.random.Generator, trials: int) -> list[CoverageVector]:
+    """Random, quarter-grid tied, and zero-entry coverages with n <= 20."""
+    covs = []
+    for trial in range(trials):
+        n = int(rng.integers(2, 21))
+        k = int(rng.integers(1, n))
+        kind = trial % 3
+        if kind == 0:
+            t = random_coverage(rng, n, k)
+        elif kind == 1:
+            t = tied_coverage(rng, n, k)
+        else:
+            # zero entries off a random support larger than k
+            t = np.zeros(n)
+            m = int(rng.integers(k + 1, n + 1))
+            t[rng.choice(n, size=m, replace=False)] = random_coverage(rng, m, k)
+        covs.append(CoverageVector(t, k))
+    return covs
+
+
 # ---------------------------------------------------------------------------
 # is_admissible
 # ---------------------------------------------------------------------------
@@ -207,25 +227,30 @@ class TestRealizeCoverage:
             assert len(set(subset)) == k
 
     def test_matches_per_cell_reference(self):
-        rng = np.random.default_rng(2024)
-        for trial in range(300):
-            n = int(rng.integers(2, 21))
-            k = int(rng.integers(1, n))
-            kind = trial % 3
-            if kind == 0:
-                t = random_coverage(rng, n, k)
-            elif kind == 1:
-                t = tied_coverage(rng, n, k)
-            else:
-                # zero entries off a random support larger than k
-                t = np.zeros(n)
-                m = int(rng.integers(k + 1, n + 1))
-                t[rng.choice(n, size=m, replace=False)] = random_coverage(rng, m, k)
-            cov = CoverageVector(t, k)
+        for cov in mixed_coverages(np.random.default_rng(2024), 300):
             mix = realize_coverage(cov)
             subsets, weights = reference_realize(cov)
             assert mix.subsets.tolist() == subsets
             assert mix.weights.tolist() == weights.tolist()
+
+    def test_mixture_equals_validated_construction(self, monkeypatch):
+        # realize_coverage skips SubsetMixture's checks; the public constructor
+        # on the same parts must give the same arrays, bit for bit.
+        parts = []
+        build = SubsetMixture._from_checked.__func__
+
+        def record(cls, subsets, weights):
+            parts.append((subsets.copy(), weights.copy()))
+            return build(cls, subsets, weights)
+
+        monkeypatch.setattr(SubsetMixture, "_from_checked", classmethod(record))
+        for cov in mixed_coverages(np.random.default_rng(7), 300):
+            mix = realize_coverage(cov)
+            checked = SubsetMixture(*parts.pop())
+            for name in ("subsets", "weights", "_cum_weights"):
+                got, want = getattr(mix, name), getattr(checked, name)
+                assert got.dtype == want.dtype and not got.flags.writeable
+                assert np.array_equal(got, want)
 
     def test_merges_equal_adjacent_cells(self):
         # Cuts 0.75 - 2**-39 and 0.75 bound a one-ulp cell; in the window at
