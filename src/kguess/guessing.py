@@ -166,28 +166,29 @@ class LossReport:
         object.__setattr__(self, "threshold_rank", int(self.threshold_rank))
 
 
-# Below this many elements, sorting whole rows and summing their suffixes in
-# one pass is cheaper than partitioning and a separate tail sum.  Ordering one
-# row of 64 took 3 us sorted against 25 us partitioned; one row of 2048, 122
-# against 38 us; a 64 x 64 matrix, 113 against 65 us (numpy 2.4, one core).
+# Below this many elements, sorting whole rows is cheaper than partitioning
+# them.  Ordering one row of 64 took 3 us sorted against 25 us partitioned;
+# one row of 2048, 122 against 38 us; a 64 x 64 matrix, 113 against 65 us
+# (numpy 2.4, one core).
 _PARTITION_MIN_SIZE = 2048
 
 
 def _top_k_order(P: np.ndarray, k: int) -> np.ndarray:
-    """Per row of ``P``, column indices with the k largest atoms first, in
-    descending order with ties by column; the rest follow in any order."""
+    """Per row of ``P``, column indices with the k + 1 largest atoms first, the
+    first k in descending order with ties by column; the rest follow in any
+    order."""
     n = P.shape[1]
     if P.size < _PARTITION_MIN_SIZE or k >= n - 1:
         return np.argsort(-P, axis=1, kind="stable")
-    order = np.argpartition(-P, k - 1, axis=1)  # introselect: O(n) per row
+    order = np.argpartition(-P, k, axis=1)  # introselect: O(n) per row
     top = order[:, :k]
     top.sort(axis=1)  # by column, so that the stable sort below breaks ties by it
     values = np.take_along_axis(P, top, axis=1)
     top[:] = np.take_along_axis(top, np.argsort(-values, axis=1, kind="stable"), axis=1)
-    # An atom tied with the k-th value but left outside the cut may have a lower
-    # column than one inside it; such rows get the full sort.
-    kth = np.take_along_axis(P, top[:, -1:], axis=1)
-    tied = np.flatnonzero((P >= kth).sum(axis=1) > k)
+    # Where the (k+1)-th atom ties the k-th, a tied atom outside the cut may
+    # have a lower column than one inside it; such rows get the full sort.
+    rank_k = np.take_along_axis(P, order[:, k - 1:k + 1], axis=1)
+    tied = np.flatnonzero(rank_k[:, 0] == rank_k[:, 1])
     if tied.size:
         order[tied] = np.argsort(-P[tied], axis=1, kind="stable")
     return order
@@ -205,7 +206,7 @@ def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
     flat = _top_k_order(P, k)
     flat += np.arange(0, rows * n, n)[:, None]  # positions in P.reshape(-1)
     S = P.reshape(-1)[flat]  # every row: its k largest atoms first, in order
-    if k < n and S[:, k].min() > 0.0:  # then every row has more than k positive atoms
+    if k < n and S[:, k].min() > 0.0:  # every row's (k+1)-th largest atom is positive
         value, rank, T, multiplier = _solve_sorted_rows(S, k, a)
         spent = k
     else:
@@ -238,15 +239,13 @@ def _solve_sorted_rows(S: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...
         logp = np.log(S)
         # Centred on the largest atom, so that a * ln p cannot swamp ln m.
         x = a.value * (logp - logp[:, :1])
-        # ln of the sum from each rank r < k to the end of the row; the terms
-        # past rank k may come in any order.
-        if S.size < _PARTITION_MIN_SIZE:
-            suffix = np.logaddexp.accumulate(x[:, ::-1], axis=1)[:, ::-1]
-        else:  # the tail as one log-sum-exp, shifted by the k-th term that bounds it
-            shift = x[:, k - 1:k]
-            tail = np.log(np.exp(x[:, k:] - shift).sum(axis=1, keepdims=True)) + shift
-            suffix = np.concatenate((tail, x[:, k - 1::-1]), axis=1)
-            suffix = np.logaddexp.accumulate(suffix, axis=1)[:, :0:-1]
+        # ln of the sum from each rank r < k to the end of the row: the terms
+        # past rank k, in any order, as one log-sum-exp shifted by the k-th
+        # term that bounds them, then an accumulate over the k sorted terms.
+        shift = x[:, k - 1:k]
+        tail = np.log(np.exp(x[:, k:] - shift).sum(axis=1, keepdims=True)) + shift
+        suffix = np.concatenate((tail, x[:, k - 1::-1]), axis=1)
+        suffix = np.logaddexp.accumulate(suffix, axis=1)[:, :0:-1]
         # The threshold is the first rank r with (k - r + 1) w_r <= sum(w_r:),
         # where this test is False (or NaN); rank k always passes.
         factors = np.log(np.arange(k, 0, -1, dtype=np.float64))  # ln(k - r + 1)

@@ -484,7 +484,11 @@ def test_partition_order_matches_full_sort():
         n = P.shape[1]
         full = np.argsort(-P, axis=1, kind="stable")
         for k in (1, 2, 7, n - 2, n - 1):
-            assert np.array_equal(_top_k_order(P, k)[:, :k], full[:, :k])
+            order = _top_k_order(P, k)
+            assert np.array_equal(order[:, :k], full[:, :k])
+            # Position k holds the (k+1)-th largest atom, which decides liveness.
+            assert np.array_equal(np.take_along_axis(P, order[:, k:k + 1], axis=1),
+                                  np.take_along_axis(P, full[:, k:k + 1], axis=1))
             for a in orders:
                 value, rank, t, multiplier = _solve_rows(P, k, a)
                 ref_value, ref_rank, ref_t, ref_multiplier = full_sort_solve_rows(P, k, a)
