@@ -337,6 +337,17 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seed(raw: str) -> int:
+    """``--seed``: a nonnegative integer, as numpy's generators need."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def _parse_k_range(raw: str) -> list[int]:
     raw = raw.strip()
     if not raw:
@@ -537,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_strategy.add_argument("-k", type=int, required=True, help="number of guesses")
     p_strategy.add_argument("--alpha", required=True, help="loss order")
     p_strategy.add_argument(
-        "--seed", type=int, help="also draw one guess set with this seed"
+        "--seed", type=_seed, help="also draw one guess set with this seed"
     )
     p_strategy.set_defaults(func=_cmd_strategy)
 

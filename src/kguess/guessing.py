@@ -9,11 +9,9 @@ This module computes that threshold rank, the minimal expected loss, and
 the per-symbol coverage probabilities, all in closed form.
 
 Every caller runs on one kernel, ``_solve_rows``, which solves the rows of a
-matrix at once, centred in the log domain so that extreme orders stay stable.
-The closed form needs only the k largest atoms of a row in order; the tail
-enters through sums.  So the kernel sorts small inputs whole, and on larger
-ones partitions each row at rank k and sorts only the k atoms in front:
-O(n + k log k) per row instead of O(n log n).
+matrix at once in the log domain, so that extreme orders stay stable.  It needs
+only a row's k largest atoms in order (the head) and one power sum over the rest
+(the tail), taken in column order: O(n + k log k) per row, O(k) per rank pass.
 """
 
 from __future__ import annotations
@@ -200,85 +198,87 @@ def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
     most k positive atoms covers them: loss 0, rank their count, multiplier
     the smallest of them.
 
-    Rows are put in top-k order by ``_top_k_order``: sorted whole on small
-    inputs, partitioned at rank k on larger ones, O(n + k log k) per row."""
+    Head and tail: the rank search reads each row's k largest atoms, ordered by
+    ``_top_k_order``, and one power sum over the rest; then coverage and loss
+    take a few passes over each row in column order, with no gather or scatter."""
     rows, n = P.shape
-    flat = _top_k_order(P, k)
-    flat += np.arange(0, rows * n, n)[:, None]  # positions in P.reshape(-1)
-    S = P.reshape(-1)[flat]  # every row: its k largest atoms first, in order
-    if k < n and S[:, k].min() > 0.0:  # every row's (k+1)-th largest atom is positive
-        value, rank, T, multiplier = _solve_sorted_rows(S, k, a)
+    k = min(k, n)  # every budget from n up gives the same answer
+    head = _top_k_order(P, k)[:, :k + 1]
+    H = P[np.arange(rows)[:, None], head]  # every row's k + 1 largest atoms, in order
+    if k < n and H[:, k].min() > 0.0:  # every row's (k+1)-th largest atom is positive
+        value, rank, t, multiplier = _solve_live_rows(P, head[:, :k], H[:, :k], a)
         spent = k
     else:
-        support = (S > 0.0).sum(axis=1)
+        positive = P > 0.0
+        support = positive.sum(axis=1)
         spent = np.minimum(support, k)
-        value, rank, T = np.zeros(rows), support.copy(), (S > 0.0).astype(np.float64)
-        multiplier = S[np.arange(rows), support - 1]
+        value, rank, t = np.zeros(rows), support, positive.astype(np.float64)
+        multiplier = H[np.arange(rows), spent - 1]
         live = np.flatnonzero(support > k)
         if live.size:
-            solved = _solve_sorted_rows(S[live], k, a)
-            value[live], rank[live], T[live], multiplier[live] = solved
-    t = np.zeros(P.shape)  # C order, so that the scatter below writes into t itself
-    t.reshape(-1)[flat] = T
-    # Checked after the scatter, in column order: a lost scatter cannot pass.
+            solved = _solve_live_rows(P[live], head[live, :k], H[live, :k], a)
+            value[live], rank[live], t[live], multiplier[live] = solved
     if not np.abs(t.sum(axis=1) - spent).max() <= SUM_TOL or math.isnan(value.sum()):
         raise KGuessError("closed form missed the guesses it spends; this is a bug")
     return value, rank, _freeze(t), multiplier
 
 
-def _solve_sorted_rows(S: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
-    """``_solve_rows`` on rows with more than k positive atoms, laid out by
-    ``_top_k_order``, unscattered."""
-    rows, n = S.shape
+def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
+    """``_solve_rows`` on rows with more than k positive atoms, given the columns
+    ``head`` of each row's k largest atoms, in order, and the atoms ``H`` there."""
+    rows, k = head.shape
+    at, col = np.arange(rows), np.arange(k)
+    heads = (at[:, None], head)  # indexes every row's head columns
     if a.is_inf:
-        T = np.broadcast_to(np.arange(n) < k, (rows, n)).astype(np.float64)
-        value = np.maximum(1.0 - S[:, :k].sum(axis=1), 0.0)
-        return value, np.full(rows, k), T, S[:, k - 1]
+        t = np.zeros(P.shape)
+        t[heads] = 1.0
+        return np.maximum(1.0 - H.sum(axis=1), 0.0), np.full(rows, k), t, H[:, k - 1]
     # Beyond float range the loss and the multiplier are +inf; ln 0 is -inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logp = np.log(S)
+        logp, logh = np.log(P), np.log(H)
+        # Tail terms over the k-th atom, each at most one: column order, head zeroed.
+        y = a.value * (logp - logh[:, k - 1:])
+        np.exp(y, out=y)
+        y[heads] = 0.0
+        tail = y.sum(axis=1)
         # Centred on the largest atom, so that a * ln p cannot swamp ln m.
-        x = a.value * (logp - logp[:, :1])
-        # ln of the sum from each rank r < k to the end of the row: the terms
-        # past rank k, in any order, as one log-sum-exp shifted by the k-th
-        # term that bounds them, then an accumulate over the k sorted terms.
-        shift = x[:, k - 1:k]
-        tail = np.log(np.exp(x[:, k:] - shift).sum(axis=1, keepdims=True)) + shift
-        suffix = np.concatenate((tail, x[:, k - 1::-1]), axis=1)
+        x = a.value * (logh - logh[:, :1])
+        # ln of the sum from each rank r < k to the end of the row, tail first.
+        suffix = np.concatenate((np.log(tail)[:, None] + x[:, k - 1:], x[:, ::-1]), axis=1)
         suffix = np.logaddexp.accumulate(suffix, axis=1)[:, :0:-1]
         # The threshold is the first rank r with (k - r + 1) w_r <= sum(w_r:),
         # where this test is False (or NaN); rank k always passes.
         factors = np.log(np.arange(k, 0, -1, dtype=np.float64))  # ln(k - r + 1)
-        s0 = np.argmin(factors + x[:, :k] - suffix[:, :k] > 0.0, axis=1)
-        del x, suffix
-        at, col = np.arange(rows), np.arange(n)
+        s0 = (factors + x > suffix).argmin(axis=1)
         while True:
             # The tail's own sum decides: where a * ln p is large the suffix sums
             # lose digits and can pass a rank whose first tail entry exceeds one.
-            lead = logp[at, s0]
-            y = a.value * (logp - lead[:, None])
-            e = np.exp(y)
-            e[col <= s0[:, None]] = 0.0
-            log_total = np.log1p(e.sum(axis=1))
+            lead = logh[at, s0]
+            e = np.exp(a.value * (logh - lead[:, None]))
+            tail_over_lead = e[:, k - 1] * tail
+            e[col <= s0[:, None]] = 0.0  # sum the ranks past s0, then add the tail
+            log_total = np.log1p(e.sum(axis=1) + tail_over_lead)
             log_left = factors[s0]  # ln of the guesses left for the tail
             over = log_left > log_total
             if not over.any():
                 break
             s0 = s0 + over
-        del logp, e  # arrays as large as the input: few at a time, in place
-        y += (log_left - log_total)[:, None]  # now ln t on the tail
-        y[col < s0[:, None]] = 0.0
-        T = np.exp(y)
-        y[S == 0.0] = 0.0  # zero atoms cost nothing
+        np.subtract(logp, lead[:, None], out=y)
+        del logp  # arrays as large as P: few at a time, in place
+        y *= a.value
+        y += (log_left - log_total)[:, None]  # now ln t past the threshold
+        y[heads] = np.where(col < s0[:, None], 0.0, y[heads])
+        t = np.exp(y)
+        y[P == 0.0] = 0.0  # zero atoms cost nothing
         if not a.is_one:  # (t ** beta - 1) / beta, which is ln t at order one
             beta = (a.value - 1.0) / a.value
             y *= beta
             np.expm1(y, out=y)
             y /= beta
-        y *= S
+        y *= P
         value = -y.sum(axis=1)
         multiplier = np.exp(lead + (log_total - log_left) / a.value)
-    return value, s0 + 1, T, multiplier
+    return value, s0 + 1, t, multiplier
 
 
 def _report(rows: tuple[np.ndarray, ...], i: int, k: int, a: Alpha) -> LossReport:

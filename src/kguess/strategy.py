@@ -9,6 +9,7 @@ mixture, and evaluates the expected loss any mixture incurs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,9 @@ __all__ = [
 
 _BOUND_SLACK = 1e-12
 _MERGE_TOL = 1e-12
+# Mixture coverage is summed this many subset members at a time, so that its
+# temporaries stay small however large the mixture is.
+_COVERAGE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,10 @@ class SubsetMixture:
     subsets: np.ndarray
     weights: np.ndarray
     _cum_weights: np.ndarray = field(init=False, repr=False)
+    # Filled on first use: the induced coverage, and the cumulative weights as
+    # a list for the draws.
+    _coverage: "np.ndarray | None" = field(init=False, repr=False, compare=False)
+    _cum_list: "list[float] | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -143,6 +151,8 @@ class SubsetMixture:
         object.__setattr__(self, "subsets", _freeze(subsets, np.int64))
         object.__setattr__(self, "weights", _freeze(weights))
         object.__setattr__(self, "_cum_weights", _freeze(np.cumsum(weights)))
+        object.__setattr__(self, "_coverage", None)
+        object.__setattr__(self, "_cum_list", None)
 
     @property
     def k(self) -> int:
@@ -154,13 +164,24 @@ class SubsetMixture:
 
     def coverage(self, n: int) -> np.ndarray:
         """Per-symbol inclusion probability induced over alphabet size n."""
+        return self._induced_coverage(n).copy()
+
+    def _induced_coverage(self, n: int) -> np.ndarray:
+        """``coverage(n)``, computed once per mixture and read-only."""
+        if self._coverage is not None and self._coverage.size == n:
+            return self._coverage
         top = int(self.subsets.max())
         if top >= n:
             raise DomainError(f"subset member {top} outside alphabet of size {n}")
-        # bincount adds the weights in component order, as a loop would
-        return np.bincount(
-            self.subsets.ravel(), weights=np.repeat(self.weights, self.k), minlength=n
-        )
+        # Adds the weights in component order, as a loop would (and as one
+        # bincount over the whole mixture does), a block of rows at a time.
+        cover = np.zeros(n)
+        step = max(1, _COVERAGE_BLOCK // self.k)
+        for start in range(0, self.n_components, step):
+            block = self.subsets[start:start + step]
+            np.add.at(cover, block.ravel(), np.repeat(self.weights[start:start + step], self.k))
+        object.__setattr__(self, "_coverage", _freeze(cover))
+        return self._coverage
 
 
 def realize_coverage(cov: CoverageVector) -> SubsetMixture:
@@ -232,7 +253,7 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     # positive (cells wider than _MERGE_TOL); the coverage is checked below.
     mix = SubsetMixture._from_checked(order[ranks], weights)
     del ranks  # as large as the mixture: free it before the coverage check
-    induced = mix.coverage(cov.t.size)
+    induced = mix._induced_coverage(cov.t.size)
     if float(np.max(np.abs(induced - cov.t))) > SUM_TOL:
         raise KGuessError("decomposition failed to reproduce the coverage; bug")
     return mix
@@ -252,7 +273,10 @@ def sample_guesses(
     Identical seeds give identical draws.
     """
     rng = np.random.default_rng(seed)
-    j = int(np.searchsorted(mix._cum_weights, rng.random(), side="right"))
+    if mix._cum_list is None:  # built on the first draw, not with the mixture
+        object.__setattr__(mix, "_cum_list", mix._cum_weights.tolist())
+    # the same doubles as searchsorted(_cum_weights, u, side="right") compares
+    j = bisect_right(mix._cum_list, rng.random())
     subset = mix.subsets[min(j, mix.n_components - 1)].tolist()
     if pmf is not None:
         p = as_pmf(pmf).probs
@@ -272,7 +296,7 @@ def strategy_loss(
     """
     pmf = as_pmf(pmf)
     a = as_alpha(alpha)
-    cover = mix.coverage(pmf.n)
+    cover = mix._induced_coverage(pmf.n)
     p = pmf.probs
     pos = p > 0.0
     if a.is_inf:

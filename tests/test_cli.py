@@ -196,6 +196,12 @@ class TestStrategy:
         assert code == 2
         assert '"pmf"' in err
 
+    def test_negative_seed_is_input_error(self, capsys, files):
+        argv = ["strategy", files["main"], "-k", "2", "--alpha", "2", "--seed", "-1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "seed must be nonnegative" in err
+
 
 # ---------------------------------------------------------------------------
 # leakage
@@ -480,6 +486,32 @@ class TestInputs:
         code, out, _ = run(capsys, ["loss", files["main"], "-k", "3", "--alpha", "2"])
         assert code == 0
         assert payload(out)["outputs"]["value"] == 0.0
+
+    @pytest.mark.parametrize(
+        "command, name, extra",
+        [
+            ("loss", "main", ["--alpha", "2"]),
+            ("loss", "joint", ["--alpha", "inf"]),
+            ("strategy", "main", ["--alpha", "2", "--seed", "3"]),
+            ("verify", "main", ["--alpha", "2"]),
+            ("leakage", "joint", ["--alpha", "2"]),
+        ],
+    )
+    def test_budget_beyond_machine_integers(self, capsys, files, command, name, extra):
+        k = str(2**63)
+        code, out, _ = run(capsys, [command, files[name], "-k", k, *extra])
+        assert code == 0
+        doc = payload(out)
+        assert doc["k"] == 2**63
+        assert doc["outputs"]["value" if command != "verify" else "closed_value"] == 0.0
+
+    def test_sweep_budget_beyond_machine_integers(self, capsys, files):
+        k = str(2**63)
+        rows = (("main", "2,inf", f"{k},2,0,3,"), ("joint", "2", f"{k},2,0,,false"))
+        for name, alphas, row in rows:
+            code, out, _ = run(capsys, ["sweep", files[name], "--k-range", k, "--alphas", alphas])
+            assert code == 0
+            assert out.splitlines()[3] == row
 
     def test_nonpositive_budget_is_domain_error(self, capsys, files):
         code, _, _ = run(capsys, ["loss", files["main"], "-k", "0", "--alpha", "2"])

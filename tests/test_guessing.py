@@ -198,6 +198,20 @@ class TestMinimalLossExamples:
         assert report.multiplier == math.inf
         assert report.coverage.t.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_budget_beyond_machine_integers(self):
+        # Every budget from the support size up gives the same answer, and the
+        # reports keep the budget asked for.
+        joint = JointPmf([[0.4, 0.1], [0.1, 0.4]])
+        for k in (2**63, 10**20):
+            report = minimal_loss(Pmf([0.5, 0.5]), k, 2)
+            assert (report.value, report.threshold_rank, report.multiplier) == (0.0, 2, 0.5)
+            assert report.coverage.t.tolist() == [1.0, 1.0]
+            assert (report.coverage.k, report.coverage.spent) == (k, 2)
+            for alpha in (2, "inf"):
+                value, columns = minimal_loss_conditional(joint, k, alpha)
+                assert value == 0.0
+                assert [c.coverage.k for c in columns] == [k, k]
+
     def test_huge_order_keeps_the_budget(self):
         report = minimal_loss(Pmf.uniform(8), 4, 1e20)
         assert report.coverage.t == pytest.approx([0.5] * 8, abs=1e-12)
@@ -458,7 +472,9 @@ def rank_condition_is_tight(row: np.ndarray, k: int, a: Alpha, rank: int) -> boo
 def partition_cases(rng: np.random.Generator) -> list[np.ndarray]:
     """Matrices just below and above the partition cut-off: random, integer
     valued (ties straddle the k-th atom), with tied largest atoms, with zero
-    atoms, and with rows of few positive atoms next to live rows."""
+    atoms, with rows of few positive atoms next to live rows, and with rows
+    of 2, 9 and all positive atoms in turn, so that at small budgets the live
+    rows hold zero atoms just past their head."""
     cut = _PARTITION_MIN_SIZE
     cases = []
     shapes = ((1, cut - 1), (1, cut), (1, cut + 300), ((cut - 1) // 64, 64), (cut // 64, 64), (5, 700))
@@ -474,6 +490,10 @@ def partition_cases(rng: np.random.Generator) -> list[np.ndarray]:
         zeros[:, 0] = 1.0
         zeros[: (rows + 1) // 2, 3:] = 0.0  # at most three positive atoms
         cases.append(zeros / zeros.sum(axis=1, keepdims=True))
+        mixed = rng.random((rows, n)) + 0.5
+        positive = np.array([2, 9, n])[np.arange(rows) % 3]
+        mixed[np.argsort(rng.random((rows, n)), axis=1) >= positive[:, None]] = 0.0
+        cases.append(mixed / mixed.sum(axis=1, keepdims=True))
     return cases
 
 
@@ -483,7 +503,7 @@ def test_partition_order_matches_full_sort():
     for P in partition_cases(rng):
         n = P.shape[1]
         full = np.argsort(-P, axis=1, kind="stable")
-        for k in (1, 2, 7, n - 2, n - 1):
+        for k in (1, 2, 7, n - 2, n - 1, n, n + 1):
             order = _top_k_order(P, k)
             assert np.array_equal(order[:, :k], full[:, :k])
             # Position k holds the (k+1)-th largest atom, which decides liveness.

@@ -98,6 +98,12 @@ class TestAlphaLeakage:
         report = alpha_leakage(JOINT22, 2, 2)
         assert report.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_budget_beyond_machine_integers(self):
+        for k in (2**63, 10**20):
+            report = alpha_leakage(JOINT22, k, 2)
+            assert report.value == 0.0 and report.k == k
+            assert report.robustness.threshold == 1.0 / k
+
     def test_product_leaks_nothing(self):
         joint = JointPmf.product(Pmf([0.3, 0.7]), Pmf([0.4, 0.6]))
         report = alpha_leakage(joint, 1, 2)

@@ -81,6 +81,17 @@ def tied_coverage(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     return q / 4.0
 
 
+class FixedUniforms(np.random.Generator):
+    """A generator whose ``random()`` returns the given uniforms in turn."""
+
+    def __init__(self, us) -> None:
+        super().__init__(np.random.PCG64(0))
+        self.us = list(us)
+
+    def random(self, *args, **kwargs):
+        return self.us.pop(0)
+
+
 def mixed_coverages(rng: np.random.Generator, trials: int) -> list[CoverageVector]:
     """Random, quarter-grid tied, and zero-entry coverages with n <= 20."""
     covs = []
@@ -158,6 +169,31 @@ class TestSubsetMixture:
         assert mix.coverage(3).tolist() == pytest.approx([1.0, 0.8, 0.2])
         assert mix.k == 2
         assert mix.n_components == 2
+
+    def test_coverage_matches_repeat_bincount(self):
+        # Summed a block of rows at a time; the bincount of the whole mixture
+        # is the reference.  The large mixture spans several blocks.
+        rng = np.random.default_rng(17)
+        mixes = [realize_coverage(cov) for cov in mixed_coverages(rng, 60)]
+        members = np.argsort(rng.random((4000, 300)), axis=1)[:, :40]
+        weights = rng.random(4000) + 0.1
+        mixes.append(SubsetMixture(members, weights / weights.sum()))
+        for mix in mixes:
+            n = int(mix.subsets.max()) + 2
+            ref = np.bincount(
+                mix.subsets.ravel(), weights=np.repeat(mix.weights, mix.k), minlength=n
+            )
+            assert np.max(np.abs(mix.coverage(n) - ref)) <= 1e-15
+
+    def test_returned_coverage_is_a_copy(self):
+        pmf = Pmf([0.5, 0.3, 0.2])
+        built = realize_coverage(minimal_loss(pmf, 2, 2).coverage)
+        for mix in (SubsetMixture(((0, 1), (1, 2), (0, 2)), (0.5, 0.3, 0.2)), built):
+            before, cover = strategy_loss(mix, pmf, 2), mix.coverage(3)
+            expected = cover.tolist()
+            cover[:] = 0.0
+            assert strategy_loss(mix, pmf, 2) == before
+            assert mix.coverage(3).tolist() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +342,17 @@ class TestSampleGuesses:
         )
         sigma = math.sqrt(0.8 * 0.2 / 20000)
         assert abs(hits / 20000 - 0.8) <= 4 * sigma
+
+    def test_bisection_matches_searchsorted(self):
+        # Uniforms at, just below and between the cumulative weights.
+        rng = np.random.default_rng(29)
+        for cov in mixed_coverages(rng, 60):
+            mix = realize_coverage(cov)
+            cums = mix._cum_weights
+            us = np.concatenate(([0.0], cums, np.nextafter(cums, 0.0), rng.random(8)))
+            for u in us.tolist():
+                j = min(int(np.searchsorted(cums, u, side="right")), mix.n_components - 1)
+                assert sample_guesses(mix, FixedUniforms([u])) == mix.subsets[j].tolist()
 
     def test_pmf_orders_output(self):
         pmf = Pmf([0.1, 0.2, 0.7])
