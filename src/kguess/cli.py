@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from typing import Any, Sequence, TextIO
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .core import (
     DomainError,
     InvalidDistributionError,
     JointPmf,
-    KGuessError,
     ParseError,
     Pmf,
 )
@@ -54,17 +53,18 @@ _DEFAULT_PRECISION = 12
 
 _LN2 = math.log(2.0)
 
+# Each file kind: its constructor and the label fields it takes besides "probs".
+_KINDS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "pmf": (Pmf, ("labels",)),
+    "joint": (JointPmf, ("x_labels", "y_labels")),
+}
+# Most budgets one sweep tabulates.
+_MAX_BUDGETS = 10**6
+
 
 # ---------------------------------------------------------------------------
 # input handling
 # ---------------------------------------------------------------------------
-
-
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 def _load_distribution(path: str) -> tuple[Pmf | JointPmf, str]:
@@ -75,9 +75,15 @@ def _load_distribution(path: str) -> tuple[Pmf | JointPmf, str]:
     the numbers or labels does.
     """
     try:
-        text = _read_text(path)
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path!r} is not UTF-8 text: {exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -85,48 +91,30 @@ def _load_distribution(path: str) -> tuple[Pmf | JointPmf, str]:
     if not isinstance(doc, dict):
         raise ParseError("distribution file must hold a JSON object")
     kind = doc.get("kind")
-    if kind not in ("pmf", "joint"):
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError(f'field "kind" must be "pmf" or "joint", got {kind!r}')
     if "probs" not in doc:
         raise ParseError('distribution file is missing the "probs" field')
-
-    if kind == "pmf":
-        allowed = {"kind", "probs", "labels"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ParseError(f"unknown field {sorted(unknown)[0]!r} in pmf file")
-        dist: Pmf | JointPmf = Pmf(doc["probs"], labels=doc.get("labels"))
-        canonical = {"kind": "pmf", "probs": doc["probs"], "labels": doc.get("labels")}
-    else:
-        allowed = {"kind", "probs", "x_labels", "y_labels"}
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ParseError(f"unknown field {sorted(unknown)[0]!r} in joint file")
-        dist = JointPmf(
-            doc["probs"],
-            x_labels=doc.get("x_labels"),
-            y_labels=doc.get("y_labels"),
-        )
-        canonical = {
-            "kind": "joint",
-            "probs": doc["probs"],
-            "x_labels": doc.get("x_labels"),
-            "y_labels": doc.get("y_labels"),
-        }
+    cls, label_fields = _KINDS[kind]
+    unknown = set(doc) - {"kind", "probs", *label_fields}
+    if unknown:
+        raise ParseError(f"unknown field {sorted(unknown)[0]!r} in {kind} file")
+    labels = {name: doc.get(name) for name in label_fields}
+    dist = cls(doc["probs"], **labels)
+    canonical = {"kind": kind, "probs": doc["probs"], **labels}
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     digest = "sha256:" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return dist, digest
 
 
-def _require_pmf(dist: Pmf | JointPmf, command: str) -> Pmf:
-    if not isinstance(dist, Pmf):
-        raise ParseError(f'the {command} command needs a "pmf" file, got "joint"')
-    return dist
+def _kind(dist: Pmf | JointPmf) -> str:
+    return "pmf" if isinstance(dist, Pmf) else "joint"
 
 
-def _require_joint(dist: Pmf | JointPmf, command: str) -> JointPmf:
-    if not isinstance(dist, JointPmf):
-        raise ParseError(f'the {command} command needs a "joint" file, got "pmf"')
+def _require(dist: Pmf | JointPmf, kind: str, command: str) -> Any:
+    got = _kind(dist)
+    if got != kind:
+        raise ParseError(f'the {command} command needs a "{kind}" file, got "{got}"')
     return dist
 
 
@@ -175,70 +163,61 @@ def _round_floats(obj: Any, digits: int) -> Any:
     return obj
 
 
+def _output(out: str | None) -> Any:
+    """The stream a command writes to: stdout, or the --out file."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
 def _emit(doc: dict[str, Any], out: str | None) -> None:
     # Streamed, so the text is never held whole.  _round_floats has turned
     # every non-finite float into a string, so allow_nan cannot fail midway.
-    with (
-        nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
-    ) as handle:
+    with _output(out) as handle:
         json.dump(doc, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 
 def _envelope(
     command: str,
-    digest: str,
-    dist: Pmf | JointPmf,
-    alpha: Alpha | None,
-    k: int | None,
+    k: int,
     outputs: dict[str, Any],
+    source: tuple[Pmf | JointPmf, str] | None = None,
+    alpha: Alpha | None = None,
 ) -> dict[str, Any]:
-    shape: dict[str, Any] = {"digest": digest}
-    if isinstance(dist, Pmf):
-        shape["kind"] = "pmf"
-        shape["n"] = dist.n
-    else:
-        shape["kind"] = "joint"
-        shape["n_x"], shape["n_y"] = dist.probs.shape
+    """The JSON document of one query; ``source`` is the (distribution,
+    digest) pair of its input file, if it has one."""
     doc: dict[str, Any] = {
         "command": command,
         "version": __version__,
-        "input": shape,
+        "k": int(k),
         "outputs": _round_floats(outputs, _precision()),
     }
+    if source is not None:
+        dist, digest = source
+        doc["input"] = shape = {"digest": digest, "kind": _kind(dist)}
+        if isinstance(dist, Pmf):
+            shape["n"] = dist.n
+        else:
+            shape["n_x"], shape["n_y"] = dist.shape
     if alpha is not None:
         doc["alpha"] = str(alpha)
-    if k is not None:
-        doc["k"] = int(k)
     return doc
-
-
-# ---------------------------------------------------------------------------
-# unit conversion
-# ---------------------------------------------------------------------------
-
-
-def _check_bits(args: argparse.Namespace, alpha: Alpha, command: str) -> bool:
-    """Validate the --bits flag for the given command and order.
-
-    Bits conversion divides log-scale outputs by ln 2.  Leakage values are
-    always log-scale; a loss value is log-scale only at order 1 (where it
-    is an expected log loss), so --bits with any other order on a loss
-    command is rejected rather than silently misapplied.
-    """
-    if not args.bits:
-        return False
-    if command in ("loss", "sweep-pmf") and not alpha.is_one:
-        raise ParseError(
-            "--bits converts log-scale outputs; loss values are log-scale "
-            "only at order 1"
-        )
-    return True
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
+
+
+def _loss_scale(bits: bool, alpha: Alpha) -> float:
+    """Divisor of a loss value: ln 2 under --bits, which is rejected off order 1,
+    the one order whose loss is log-scale (an expected log loss)."""
+    if not bits:
+        return 1.0
+    if not alpha.is_one:
+        raise ParseError(
+            "--bits converts log-scale outputs; loss values are log-scale only at order 1"
+        )
+    return _LN2
 
 
 def _loss_report_outputs(report: LossReport, scale: float) -> dict[str, Any]:
@@ -254,38 +233,31 @@ def _loss_report_outputs(report: LossReport, scale: float) -> dict[str, Any]:
 def _cmd_loss(args: argparse.Namespace) -> int:
     dist, digest = _load_distribution(args.file)
     alpha = Alpha.from_token(args.alpha)
-    bits = _check_bits(args, alpha, "loss")
-    scale = _LN2 if bits else 1.0
-    unit = "bits" if bits else "nats"
+    scale = _loss_scale(args.bits, alpha)
 
     if isinstance(dist, Pmf):
-        report = minimal_loss(dist, args.k, alpha)
-        outputs = _loss_report_outputs(report, scale)
+        outputs = _loss_report_outputs(minimal_loss(dist, args.k, alpha), scale)
     else:
         value, columns = minimal_loss_conditional(dist, args.k, alpha)
-        column_docs: list[dict[str, Any] | None] = []
         weights = dist.probs.sum(axis=0)
-        for j, column in enumerate(columns):
-            if column is None:
-                column_docs.append(None)
-                continue
-            doc = _loss_report_outputs(column, scale)
-            doc["weight"] = float(weights[j])
-            if dist.y_labels is not None:
-                doc["y"] = dist.y_labels[j]
-            else:
-                doc["y"] = j
-            column_docs.append(doc)
+        column_docs = [
+            None if column is None else {
+                **_loss_report_outputs(column, scale),
+                "weight": float(weights[j]),
+                "y": j if dist.y_labels is None else dist.y_labels[j],
+            }
+            for j, column in enumerate(columns)
+        ]
         outputs = {"value": value / scale, "columns": column_docs}
     if alpha.is_one:
-        outputs["unit"] = unit
-    _emit(_envelope("loss", digest, dist, alpha, args.k, outputs), args.out)
+        outputs["unit"] = "bits" if args.bits else "nats"
+    _emit(_envelope("loss", args.k, outputs, (dist, digest), alpha), args.out)
     return EXIT_OK
 
 
 def _cmd_strategy(args: argparse.Namespace) -> int:
     dist, digest = _load_distribution(args.file)
-    pmf = _require_pmf(dist, "strategy")
+    pmf: Pmf = _require(dist, "pmf", "strategy")
     alpha = Alpha.from_token(args.alpha)
 
     report = minimal_loss(pmf, args.k, alpha)
@@ -308,13 +280,13 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
             guesses = [labels[i] for i in guesses]
         outputs["sample"] = guesses
         outputs["seed"] = args.seed
-    _emit(_envelope("strategy", digest, pmf, alpha, args.k, outputs), args.out)
+    _emit(_envelope("strategy", args.k, outputs, (pmf, digest), alpha), args.out)
     return EXIT_OK
 
 
 def _cmd_leakage(args: argparse.Namespace) -> int:
     dist, digest = _load_distribution(args.file)
-    joint = _require_joint(dist, "leakage")
+    joint: JointPmf = _require(dist, "joint", "leakage")
     alpha = Alpha.from_token(args.alpha)
     scale = _LN2 if args.bits else 1.0
 
@@ -333,7 +305,7 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
         "offender": offender,
         "unit": "bits" if args.bits else "nats",
     }
-    _emit(_envelope("leakage", digest, joint, alpha, args.k, outputs), args.out)
+    _emit(_envelope("leakage", args.k, outputs, (joint, digest), alpha), args.out)
     return EXIT_OK
 
 
@@ -348,23 +320,26 @@ def _seed(raw: str) -> int:
     return value
 
 
-def _parse_k_range(raw: str) -> list[int]:
+def _parse_k_range(raw: str) -> Sequence[int]:
+    """``--k-range``: "lo:hi" (inclusive) or a comma list of positive budgets;
+    a range stays a ``range``, so its size is checked before it is held."""
     raw = raw.strip()
-    if not raw:
-        raise ParseError("empty guess budget range")
+    values: Sequence[int]
     try:
         if ":" in raw:
-            lo_text, hi_text = raw.split(":", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            values = list(range(lo, hi + 1))
+            lo, hi = (int(tok) for tok in raw.split(":", 1))
+            values, smallest, count = range(lo, hi + 1), lo, hi - lo + 1
         else:
             values = [int(tok) for tok in raw.split(",") if tok.strip()]
+            smallest, count = min(values, default=1), len(values)
     except ValueError as exc:
         raise ParseError(f"bad guess budget range {raw!r}: {exc}") from None
-    if not values:
+    if count < 1:
         raise ParseError("empty guess budget range")
-    if any(v < 1 for v in values):
+    if smallest < 1:
         raise ParseError("guess budgets must be positive")
+    if count > _MAX_BUDGETS:
+        raise ParseError(f"guess budget range holds {count} budgets, over {_MAX_BUDGETS}")
     return values
 
 
@@ -380,56 +355,39 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ks = _parse_k_range(args.k_range)
     alphas = _parse_alpha_grid(args.alphas)
     digits = _precision()
-
-    if isinstance(dist, JointPmf):
-        bad = next((a for a in alphas if a.is_inf or a.is_one), None)
-        if bad is not None:
-            raise DomainError(
-                f"leakage sweeps need finite orders other than 1, got {bad}"
-            )
-        if args.bits:
-            scale = _LN2
-        else:
-            scale = 1.0
-        kind = "joint"
+    kind = _kind(dist)
+    if kind == "pmf":
+        scales = [_loss_scale(args.bits, a) for a in alphas]
     else:
-        for a in alphas:
-            _check_bits(args, a, "sweep-pmf")
-        scale = _LN2 if args.bits else 1.0
-        kind = "pmf"
+        scales = [_LN2 if args.bits else 1.0] * len(alphas)
 
+    # Rows are all computed before the write, so an error leaves no partial table.
     lines = [
         f"# kguess sweep v{__version__}",
         f"# input: {digest} kind={kind}",
         "# columns: k,alpha,value,threshold_rank,robust",
     ]
     for k in ks:
-        for a in alphas:
+        for a, scale in zip(alphas, scales):
             if kind == "pmf":
                 report = minimal_loss(dist, k, a)
-                value = report.value / scale
-                lines.append(f"{k},{a},{value:.{digits}g},{report.threshold_rank},")
+                rank, robust = report.threshold_rank, ""
             else:
                 report = alpha_leakage(dist, k, a)
-                value = report.value / scale
-                robust = "true" if report.robust else "false"
-                lines.append(f"{k},{a},{value:.{digits}g},,{robust}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+                rank, robust = "", "true" if report.robust else "false"
+            lines.append(f"{k},{a},{report.value / scale:.{digits}g},{rank},{robust}")
+    with _output(args.out) as handle:
+        handle.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     dist, digest = _load_distribution(args.file)
-    pmf = _require_pmf(dist, "verify")
+    pmf: Pmf = _require(dist, "pmf", "verify")
     alpha = Alpha.from_token(args.alpha)
 
     report = minimal_loss(pmf, args.k, alpha)
-    positive = int(np.count_nonzero(pmf.probs > 0.0))
+    positive = pmf.support_size
     outputs: dict[str, Any] = {
         "closed_value": report.value,
         "threshold_rank": report.threshold_rank,
@@ -442,25 +400,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         solution = minimize_expected_loss(pmf, args.k, alpha, tol=args.tol)
-        deviation = float(np.max(np.abs(solution.t - report.coverage.t)))
-        denom = max(abs(report.value), 1e-12)
+        diff = abs(solution.value - report.value)
         outputs.update(
-            {
-                "oracle_skipped": False,
-                "oracle_value": solution.value,
-                "oracle_gap": solution.gap,
-                "oracle_iterations": solution.iterations,
-                "abs_diff": abs(solution.value - report.value),
-                "rel_diff": abs(solution.value - report.value) / denom,
-                "max_coverage_deviation": deviation,
-            }
+            oracle_skipped=False,
+            oracle_value=solution.value,
+            oracle_gap=solution.gap,
+            oracle_iterations=solution.iterations,
+            abs_diff=diff,
+            rel_diff=diff / max(abs(report.value), 1e-12),
+            max_coverage_deviation=float(np.max(np.abs(solution.t - report.coverage.t))),
         )
     admissible = is_admissible(report.coverage.t, report.coverage.spent)
     feasibility = lp_feasible(report.coverage.t, report.coverage.spent)
     outputs["admissible"] = admissible.ok
     outputs["lp_feasible"] = feasibility.feasible
     outputs["checks_agree"] = admissible.ok == feasibility.feasible
-    _emit(_envelope("verify", digest, pmf, alpha, args.k, outputs), args.out)
+    _emit(_envelope("verify", args.k, outputs, (pmf, digest), alpha), args.out)
     return EXIT_OK
 
 
@@ -475,13 +430,9 @@ def _parse_vector(raw: str) -> np.ndarray:
 
 
 def _cmd_check_admissible(args: argparse.Namespace) -> int:
-    values = _parse_vector(args.t)
-    verdict = is_admissible(values, args.k)
-    outputs: dict[str, Any] = {
-        "coverage": values,
-        "admissible": verdict.ok,
-        "violation": None,
-    }
+    t = _parse_vector(args.t)
+    verdict = is_admissible(t, args.k)
+    outputs: dict[str, Any] = {"coverage": t, "admissible": verdict.ok, "violation": None}
     if not verdict.ok:
         outputs["violation"] = {
             "kind": verdict.violation,
@@ -489,7 +440,7 @@ def _cmd_check_admissible(args: argparse.Namespace) -> int:
             "detail": verdict.detail,
         }
     if args.lp:
-        feasibility = lp_feasible(values, args.k)
+        feasibility = lp_feasible(t, args.k)
         lp_doc: dict[str, Any] = {"feasible": feasibility.feasible}
         if feasibility.feasible and feasibility.witness is not None:
             lp_doc["witness_components"] = len(feasibility.witness)
@@ -498,13 +449,7 @@ def _cmd_check_admissible(args: argparse.Namespace) -> int:
             lp_doc["certificate_valid"] = feasibility.certificate_valid
         outputs["lp"] = lp_doc
         outputs["checks_agree"] = verdict.ok == feasibility.feasible
-    doc: dict[str, Any] = {
-        "command": "check-admissible",
-        "version": __version__,
-        "k": args.k,
-        "outputs": _round_floats(outputs, _precision()),
-    }
-    _emit(doc, args.out)
+    _emit(_envelope("check-admissible", args.k, outputs), args.out)
     return EXIT_OK
 
 
@@ -524,87 +469,62 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kguess {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, file_arg: bool = True) -> None:
-        if file_arg:
-            p.add_argument(
-                "file",
-                help='distribution file (JSON; "-" reads standard input)',
-            )
+    def command(name, func, help, alpha=None, file=True, k=True):
+        """A subcommand with its input file, --out, -k and --alpha, in that order."""
+        p = sub.add_parser(name, help=help)
+        if file:
+            p.add_argument("file", help='distribution file (JSON; "-" reads standard input)')
         p.add_argument("--out", help="write output to this path instead of stdout")
+        if k:
+            p.add_argument("-k", type=int, required=True, help="number of guesses")
+        if alpha is not None:
+            p.add_argument("--alpha", required=True, help=alpha)
+        p.set_defaults(func=func)
+        return p
 
-    p_loss = sub.add_parser("loss", help="minimal expected loss and optimal coverage")
-    add_common(p_loss)
-    p_loss.add_argument("-k", type=int, required=True, help="number of guesses")
-    p_loss.add_argument("--alpha", required=True, help='loss order (decimal, "1", or "inf")')
-    p_loss.add_argument(
-        "--bits", action="store_true", help="report order-1 losses in bits"
-    )
-    p_loss.set_defaults(func=_cmd_loss)
+    p = command("loss", _cmd_loss, "minimal expected loss and optimal coverage",
+                alpha='loss order (decimal, "1", or "inf")')
+    p.add_argument("--bits", action="store_true", help="report order-1 losses in bits")
 
-    p_strategy = sub.add_parser(
-        "strategy", help="explicit randomized guessing strategy for the optimum"
-    )
-    add_common(p_strategy)
-    p_strategy.add_argument("-k", type=int, required=True, help="number of guesses")
-    p_strategy.add_argument("--alpha", required=True, help="loss order")
-    p_strategy.add_argument(
-        "--seed", type=_seed, help="also draw one guess set with this seed"
-    )
-    p_strategy.set_defaults(func=_cmd_strategy)
+    p = command("strategy", _cmd_strategy,
+                "explicit randomized guessing strategy for the optimum", alpha="loss order")
+    p.add_argument("--seed", type=_seed, help="also draw one guess set with this seed")
 
-    p_leakage = sub.add_parser("leakage", help="k-guess leakage of a joint distribution")
-    add_common(p_leakage)
-    p_leakage.add_argument("-k", type=int, required=True, help="number of guesses")
-    p_leakage.add_argument("--alpha", required=True, help="leakage order (finite, not 1)")
-    p_leakage.add_argument("--bits", action="store_true", help="report in bits")
-    p_leakage.set_defaults(func=_cmd_leakage)
+    p = command("leakage", _cmd_leakage, "k-guess leakage of a joint distribution",
+                alpha="leakage order (finite, not 1)")
+    p.add_argument("--bits", action="store_true", help="report in bits")
 
-    p_sweep = sub.add_parser("sweep", help="tabulate values over a (k, order) grid")
-    add_common(p_sweep)
-    p_sweep.add_argument(
-        "--k-range",
-        required=True,
-        help='budgets, "1:4" (inclusive) or comma list "1,2,5"',
+    p = command("sweep", _cmd_sweep, "tabulate values over a (k, order) grid", k=False)
+    p.add_argument(
+        "--k-range", required=True, help='budgets, "1:4" (inclusive) or comma list "1,2,5"'
     )
-    p_sweep.add_argument(
+    p.add_argument(
         "--alphas", required=True, help='comma list of orders, e.g. "0.5,1,2,inf"'
     )
-    p_sweep.add_argument("--bits", action="store_true", help="report in bits")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p.add_argument("--bits", action="store_true", help="report in bits")
 
-    p_verify = sub.add_parser(
-        "verify", help="cross-check the closed form against the numerical oracle"
-    )
-    add_common(p_verify)
-    p_verify.add_argument("-k", type=int, required=True, help="number of guesses")
-    p_verify.add_argument("--alpha", required=True, help="loss order (finite)")
-    p_verify.add_argument(
-        "--tol", type=float, default=1e-9, help="oracle certificate tolerance"
-    )
-    p_verify.set_defaults(func=_cmd_verify)
+    p = command("verify", _cmd_verify,
+                "cross-check the closed form against the numerical oracle",
+                alpha="loss order (finite)")
+    p.add_argument("--tol", type=float, default=1e-9, help="oracle certificate tolerance")
 
-    p_check = sub.add_parser(
-        "check-admissible", help="test whether a coverage vector is realizable"
-    )
-    add_common(p_check, file_arg=False)
-    p_check.add_argument(
+    # --t comes before -k in this command's usage line
+    p = command("check-admissible", _cmd_check_admissible,
+                "test whether a coverage vector is realizable", file=False, k=False)
+    p.add_argument(
         "--t", required=True, help='comma-separated coverage entries, e.g. "1,0.8,0.2"'
     )
-    p_check.add_argument("-k", type=int, required=True, help="number of guesses")
-    p_check.add_argument(
-        "--lp",
-        action="store_true",
-        help="also run the exact rational feasibility test",
+    p.add_argument("-k", type=int, required=True, help="number of guesses")
+    p.add_argument(
+        "--lp", action="store_true", help="also run the exact rational feasibility test"
     )
-    p_check.set_defaults(func=_cmd_check_admissible)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

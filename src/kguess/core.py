@@ -180,10 +180,25 @@ def _check_budget(k: int) -> int:
     return int(k)
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """Convert distribution entries to float64, or raise InvalidDistributionError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidDistributionError(
+            f"{what} must be an array of numbers: {exc}"
+        ) from None
+
+
 def _check_labels(labels, count: int, what: str) -> tuple[str, ...] | None:
     if labels is None:
         return None
-    labels = tuple(str(x) for x in labels)
+    try:
+        labels = tuple(str(x) for x in labels)
+    except TypeError:
+        raise InvalidDistributionError(
+            f"{what}: labels must be a list, got {type(labels).__name__}"
+        ) from None
     if len(labels) != count:
         raise InvalidDistributionError(
             f"{what}: got {len(labels)} labels for {count} entries"
@@ -207,7 +222,7 @@ class Pmf:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = _float_array(self.probs, "pmf")
         if p.ndim != 1 or p.size == 0:
             raise InvalidDistributionError("pmf must be a nonempty 1-d array")
         if not np.all(np.isfinite(p)):
@@ -215,7 +230,7 @@ class Pmf:
         if np.any(p < 0.0):
             i = int(np.argmin(p))
             raise InvalidDistributionError(
-                f"pmf entry {i} is negative ({p[i]!r})"
+                f"pmf entry {i} is negative ({float(p[i])!r})"
             )
         s = float(p.sum())
         if abs(s - 1.0) > SUM_TOL:
@@ -251,9 +266,7 @@ class Pmf:
 
 def as_pmf(pmf: "Pmf | object") -> Pmf:
     """Coerce an array-like of probabilities into a validated Pmf."""
-    if isinstance(pmf, Pmf):
-        return pmf
-    return Pmf(np.asarray(pmf, dtype=np.float64))
+    return pmf if isinstance(pmf, Pmf) else Pmf(pmf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +282,7 @@ class JointPmf:
     y_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = _float_array(self.probs, "joint pmf")
         if p.ndim != 2 or p.size == 0:
             raise InvalidDistributionError("joint pmf must be a nonempty 2-d array")
         if not np.all(np.isfinite(p)):
@@ -277,7 +290,7 @@ class JointPmf:
         if np.any(p < 0.0):
             x, y = np.unravel_index(int(np.argmin(p)), p.shape)
             raise InvalidDistributionError(
-                f"joint pmf entry ({x}, {y}) is negative ({p[x, y]!r})"
+                f"joint pmf entry ({x}, {y}) is negative ({float(p[x, y])!r})"
             )
         s = float(p.sum())
         if abs(s - 1.0) > SUM_TOL:
@@ -316,9 +329,7 @@ class JointPmf:
 
 
 def as_joint(joint: "JointPmf | object") -> JointPmf:
-    if isinstance(joint, JointPmf):
-        return joint
-    return JointPmf(np.asarray(joint, dtype=np.float64))
+    return joint if isinstance(joint, JointPmf) else JointPmf(joint)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,6 @@ def minimize_expected_loss(
     k: int,
     alpha: "Alpha | float | str",
     tol: float = 1e-9,
-    rel_tol: float | None = None,
     max_iter: int = 100_000,
 ) -> OracleSolution:
     """Minimize the expected loss over the capped simplex numerically.
@@ -149,12 +148,9 @@ def minimize_expected_loss(
         Instance to solve; the order must be finite and the budget below
         the positive support size.
     tol : float
-        Absolute certificate target: iteration stops once the linearized
-        duality gap (an upper bound on objective suboptimality) drops
-        below it.
-    rel_tol : float, optional
-        Additional relative target; when given, a gap below
-        rel_tol * |objective| also stops the iteration.
+        Absolute certificate target, positive and finite: iteration stops
+        once the linearized duality gap (an upper bound on objective
+        suboptimality) drops below it.
     max_iter : int
         Iteration cap; exceeding it raises :class:`ConvergenceError`.
 
@@ -178,8 +174,10 @@ def minimize_expected_loss(
     if a.is_inf:
         raise DomainError("numerical oracle handles finite orders only")
     k = _check_budget(k)
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise DomainError("tolerance must be positive")
+    if math.isinf(tol):
+        raise DomainError("tolerance must be finite")
     pos = np.flatnonzero(pmf.probs > 0.0)
     if k >= pos.size:
         raise BudgetError(f"budget {k} not below positive support {pos.size}")
@@ -265,7 +263,7 @@ def minimize_expected_loss(
     step = 1.0
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        if gap <= tol or (rel_tol is not None and gap <= rel_tol * abs(f_t)):
+        if gap <= tol:
             break
         g = gradient(t)
         curvature = np.clip(p * (1.0 / av) * t ** (-1.0 - 1.0 / av), 1e-8, 1e18)
@@ -312,7 +310,7 @@ def minimize_expected_loss(
         else:
             # stationary at float resolution; the gap decides the verdict
             break
-    if gap > tol and (rel_tol is None or gap > rel_tol * abs(f_t)):
+    if gap > tol:
         raise ConvergenceError(
             f"no certificate below tol after {iteration} iterations (gap {gap:.3e})"
         )

@@ -14,7 +14,7 @@ import pytest
 
 import kguess.cli
 from kguess.cli import main
-from kguess.core import ConvergenceError
+from kguess.core import ConvergenceError, ParseError
 from kguess.guessing import minimal_loss
 
 LN2 = math.log(2.0)
@@ -326,6 +326,26 @@ class TestSweep:
         )
         assert code == 2
 
+    def test_out_file_matches_stdout(self, capsys, files, tmp_path):
+        for name, alphas in (("main", "1,2,inf"), ("joint", "0.5,2")):
+            argv = ["sweep", files[name], "--k-range", "1:2", "--alphas", alphas]
+            _, stdout_text, _ = run(capsys, argv)
+            target = tmp_path / f"{name}.csv"
+            code, out, _ = run(capsys, argv + ["--out", str(target)])
+            assert code == 0 and out == ""
+            assert target.read_bytes() == stdout_text.encode("utf-8")
+
+    def test_budget_range_beyond_machine_integers_is_input_error(self, capsys, files):
+        argv = ["sweep", files["main"], "--k-range", "1:9223372036854775808", "--alphas", "2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert "input error" in err and "1000000" in err
+
+    def test_budget_range_holds_at_most_one_million(self):
+        assert len(kguess.cli._parse_k_range("9:1000008")) == 10**6
+        with pytest.raises(ParseError, match="1000000"):
+            kguess.cli._parse_k_range("1:1000001")
+
     def test_joint_grid_with_order_one_rejected_upfront(self, capsys, files):
         code, _, err = run(
             capsys, ["sweep", files["joint"], "--k-range", "1:1", "--alphas", "1,2"]
@@ -394,6 +414,13 @@ class TestVerify:
         # the inputs do exercise the rounding fault
         assert drifted >= 1
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, files, tol):
+        argv = ["verify", files["main"], "-k", "2", "--alpha", "2", "--tol", tol]
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert "tolerance" in err
+
     def test_convergence_failure_exit_code(self, capsys, files, monkeypatch):
         def explode(*args, **kwargs):
             raise ConvergenceError("no certificate below tol after 0 iterations")
@@ -440,6 +467,11 @@ class TestCheckAdmissible:
         outs = payload(out)["outputs"]
         assert outs["admissible"] is True
         assert "lp" not in outs
+
+    def test_envelope_has_no_input_or_order(self, capsys):
+        code, out, _ = run(capsys, ["check-admissible", "--t", "1,0.8,0.2", "-k", "2"])
+        assert code == 0
+        assert set(payload(out)) == {"command", "k", "outputs", "version"}
 
     def test_unparseable_vector(self, capsys):
         code, _, _ = run(capsys, ["check-admissible", "--t", "1,zebra", "-k", "2"])
@@ -537,6 +569,51 @@ class TestInputs:
         code, _, err = run(capsys, ["loss", files["main"], "-k", "2", "--alpha", "2"])
         assert code == 2
         assert "KGUESS_PRECISION" in err
+
+    @pytest.mark.parametrize(
+        "doc, digest",
+        [
+            (
+                {"kind": "pmf", "probs": [0.7, 0.2, 0.1], "labels": ["a", "b", "c"]},
+                "sha256:c7ad9d24dd04dea9b26aa996f560ca6612c155ef03516db50fcaf5a5151e50e5",
+            ),
+            (
+                {
+                    "kind": "joint",
+                    "probs": [[0.4, 0.1], [0.1, 0.4]],
+                    "x_labels": ["u", "v"],
+                    "y_labels": ["L", "R"],
+                },
+                "sha256:93bff9300ca912bf742e503ef5b9a9f046a7d6a68a1eef490a15010ee1a1b76a",
+            ),
+        ],
+        ids=["pmf", "joint"],
+    )
+    def test_digest_is_pinned(self, capsys, tmp_path, doc, digest):
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["loss", str(path), "-k", "1", "--alpha", "2"])
+        assert code == 0
+        assert payload(out)["input"]["digest"] == digest
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"kind": "pmf", "probs": ["a", "b"]}',
+            b'{"kind": "pmf", "probs": {"a": 1}}',
+            b'{"kind": "joint", "probs": [[0.5], [0.25, 0.25]]}',
+            b'{"kind": "pmf", "probs": [' + b"9" * 401 + b", 1]}",
+            b'{"kind": "pmf", "probs": [0.5, 0.5], "labels": 5}',
+            b'{"kind": "pmf", "probs": [1.0], "labels": ["\xe9"]}',
+        ],
+        ids=["strings", "object", "ragged", "huge-integer", "scalar-labels", "not-utf8"],
+    )
+    def test_malformed_file_is_input_error(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, out, err = run(capsys, ["loss", str(path), "-k", "1", "--alpha", "2"])
+        assert code == 2 and out == ""
+        assert "input error" in err
 
     def test_digest_ignores_float_formatting(self, capsys, tmp_path):
         a = tmp_path / "a.json"

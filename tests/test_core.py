@@ -175,6 +175,17 @@ class TestPmf:
         with pytest.raises(InvalidDistributionError):
             Pmf([math.nan, 1.0])
 
+    def test_rejects_entries_that_are_not_numbers(self):
+        for probs in (["a"], {"a": 1}, [10**400, 1], [[0.5], [0.25, 0.25]]):
+            with pytest.raises(InvalidDistributionError):
+                Pmf(probs)
+        with pytest.raises(InvalidDistributionError):
+            JointPmf([[0.5], [0.25, 0.25]])
+        with pytest.raises(InvalidDistributionError, match="labels must be a list"):
+            Pmf([0.5, 0.5], labels=5)
+        with pytest.raises(InvalidDistributionError, match=r"negative \(-0\.2\)"):
+            Pmf([1.2, -0.2])
+
     def test_rejects_empty_and_matrix(self):
         with pytest.raises(InvalidDistributionError):
             Pmf([])

@@ -151,8 +151,9 @@ class TestDescentOracle:
             minimize_expected_loss(Pmf.uniform(4), 2, Alpha.infinity())
         with pytest.raises(BudgetError):
             minimize_expected_loss(Pmf.uniform(4), 4, 2)
-        with pytest.raises(DomainError):
-            minimize_expected_loss(Pmf.uniform(4), 2, 2, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                minimize_expected_loss(Pmf.uniform(4), 2, 2, tol=tol)
         with pytest.raises(DomainError):
             minimize_expected_loss(Pmf.uniform(4), 0, 2)
 
