@@ -88,6 +88,8 @@ def _load_distribution(path: str) -> tuple[Pmf | JointPmf, str]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path!r} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path!r} nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError("distribution file must hold a JSON object")
     kind = doc.get("kind")

@@ -191,14 +191,21 @@ def _float_array(values, what: str) -> np.ndarray:
 
 
 def _check_labels(labels, count: int, what: str) -> tuple[str, ...] | None:
+    """Labels as strings; each must be a string or a number (not a bool)."""
     if labels is None:
         return None
     try:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(labels)
     except TypeError:
         raise InvalidDistributionError(
             f"{what}: labels must be a list, got {type(labels).__name__}"
         ) from None
+    for i, x in enumerate(labels):
+        if isinstance(x, bool) or not isinstance(x, (str, int, float, np.integer, np.floating)):
+            raise InvalidDistributionError(
+                f"{what}: label {i} must be a string or a number, got {type(x).__name__}"
+            )
+    labels = tuple(str(x) for x in labels)
     if len(labels) != count:
         raise InvalidDistributionError(
             f"{what}: got {len(labels)} labels for {count} entries"
@@ -477,7 +484,13 @@ def _joint_rows(joint: JointPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     P = joint.probs
     py = P.sum(axis=0)
     live = np.flatnonzero(py > 0.0)
-    return np.vstack((P.sum(axis=1), P.T[live] / py[live, None])), py[live], live
+    cols = P.T
+    if live.size < py.size:  # gather only when some column is dead
+        cols, py = cols[live], py[live]
+    rows = np.empty((py.size + 1, P.shape[0]))  # C order, for the row passes
+    rows[0] = P.sum(axis=1)
+    np.divide(cols, py[:, None], out=rows[1:])
+    return rows, py, live
 
 
 def conditional_pmf(joint: "JointPmf | object", y_index: int) -> Pmf:

@@ -12,6 +12,8 @@ Every caller runs on one kernel, ``_solve_rows``, which solves the rows of a
 matrix at once in the log domain, so that extreme orders stay stable.  It needs
 only a row's k largest atoms in order (the head) and one power sum over the rest
 (the tail), taken in column order: O(n + k log k) per row, O(k) per rank pass.
+The leakage reads each row's best expectation off the kernel's rank stage
+alone (``_log_expectations``), with no pass over the coverage.
 """
 
 from __future__ import annotations
@@ -165,31 +167,41 @@ class LossReport:
 
 
 # Below this many elements, sorting whole rows is cheaper than partitioning
-# them.  Ordering one row of 64 took 3 us sorted against 25 us partitioned;
-# one row of 2048, 122 against 38 us; a 64 x 64 matrix, 113 against 65 us
-# (numpy 2.4, one core).
-_PARTITION_MIN_SIZE = 2048
+# them.  Selecting the head of one row of 1000 took 21 us sorted against 21 us
+# partitioned; one row of 1280, 49 against 21 us; 16 rows of 64, 21 against
+# 27 us; 24 rows of 64, 28 against 25 us (numpy 2.4, one core).
+_PARTITION_MIN_SIZE = 1280
 
 
-def _top_k_order(P: np.ndarray, k: int) -> np.ndarray:
-    """Per row of ``P``, column indices with the k + 1 largest atoms first, the
-    first k in descending order with ties by column; the rest follow in any
-    order."""
-    n = P.shape[1]
+def _head(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``P``, for k <= n: the columns of its k largest atoms in
+    descending order with ties by column, and the atoms there followed by the
+    (k+1)-th largest atom when k < n."""
+    rows, n = P.shape
     if P.size < _PARTITION_MIN_SIZE or k >= n - 1:
-        return np.argsort(-P, axis=1, kind="stable")
-    order = np.argpartition(-P, k, axis=1)  # introselect: O(n) per row
-    top = order[:, :k]
-    top.sort(axis=1)  # by column, so that the stable sort below breaks ties by it
-    values = np.take_along_axis(P, top, axis=1)
-    top[:] = np.take_along_axis(top, np.argsort(-values, axis=1, kind="stable"), axis=1)
-    # Where the (k+1)-th atom ties the k-th, a tied atom outside the cut may
-    # have a lower column than one inside it; such rows get the full sort.
-    rank_k = np.take_along_axis(P, order[:, k - 1:k + 1], axis=1)
-    tied = np.flatnonzero(rank_k[:, 0] == rank_k[:, 1])
+        head = np.argsort(-P, axis=1, kind="stable")[:, :k + 1]
+        return head[:, :k], P[np.arange(rows)[:, None], head]
+    H = np.empty((rows, k + 1))
+    H[:, k] = np.partition(P, n - k - 1, axis=1)[:, n - k - 1]  # O(n) per row
+    # The atoms above the (k+1)-th are the head, found in column order, so that
+    # the stable sort below breaks ties by column.  A row has k of them unless
+    # its k-th atom ties the (k+1)-th; such rows get the full sort.
+    flat = np.flatnonzero(P > H[:, k:])
+    untied = np.ones(rows, dtype=bool)
+    if flat.size != rows * k:
+        row = flat // n
+        untied = np.bincount(row, minlength=rows) == k
+        flat = flat[untied[row]]
+    atoms = P.reshape(-1)[flat].reshape(-1, k)
+    order = np.argsort(-atoms, axis=1, kind="stable")
+    head = np.empty((rows, k), dtype=np.intp)
+    head[untied] = np.take_along_axis(flat.reshape(-1, k) % n, order, axis=1)
+    H[untied, :k] = np.take_along_axis(atoms, order, axis=1)
+    tied = np.flatnonzero(~untied)
     if tied.size:
-        order[tied] = np.argsort(-P[tied], axis=1, kind="stable")
-    return order
+        head[tied] = np.argsort(-P[tied], axis=1, kind="stable")[:, :k]
+        H[tied, :k] = P[tied[:, None], head[tied]]
+    return head, H
 
 
 def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
@@ -198,15 +210,14 @@ def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
     most k positive atoms covers them: loss 0, rank their count, multiplier
     the smallest of them.
 
-    Head and tail: the rank search reads each row's k largest atoms, ordered by
-    ``_top_k_order``, and one power sum over the rest; then coverage and loss
-    take a few passes over each row in column order, with no gather or scatter."""
+    Head and tail: the rank stage reads each row's k largest atoms, ordered by
+    ``_head``, and one power sum over the rest; then coverage and loss take a
+    few passes over each row in column order, with no gather or scatter."""
     rows, n = P.shape
     k = min(k, n)  # every budget from n up gives the same answer
-    head = _top_k_order(P, k)[:, :k + 1]
-    H = P[np.arange(rows)[:, None], head]  # every row's k + 1 largest atoms, in order
+    head, H = _head(P, k)
     if k < n and H[:, k].min() > 0.0:  # every row's (k+1)-th largest atom is positive
-        value, rank, t, multiplier = _solve_live_rows(P, head[:, :k], H[:, :k], a)
+        value, rank, t, multiplier = _solve_live_rows(P, head, H[:, :k], a)
         spent = k
     else:
         positive = P > 0.0
@@ -216,58 +227,75 @@ def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
         multiplier = H[np.arange(rows), spent - 1]
         live = np.flatnonzero(support > k)
         if live.size:
-            solved = _solve_live_rows(P[live], head[live, :k], H[live, :k], a)
+            solved = _solve_live_rows(P[live], head[live], H[live, :k], a)
             value[live], rank[live], t[live], multiplier[live] = solved
     if not np.abs(t.sum(axis=1) - spent).max() <= SUM_TOL or math.isnan(value.sum()):
         raise KGuessError("closed form missed the guesses it spends; this is a bug")
     return value, rank, _freeze(t), multiplier
 
 
-def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
-    """``_solve_rows`` on rows with more than k positive atoms, given the columns
-    ``head`` of each row's k largest atoms, in order, and the atoms ``H`` there."""
+def _rank_stage(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
+    """Threshold search on rows with more than k positive atoms, at a finite
+    order, given the columns ``head`` of each row's k largest atoms, in order,
+    and the atoms ``H`` there.  Runs under the caller's ``np.errstate``, with
+    divide, over and invalid ignored: ln 0 is -inf.
+
+    Returns ln P and, per row: the 0-based threshold rank ``s0``; ``guessed``,
+    which head atoms are guessed outright (the ranks below s0); ``lead``, ln of
+    the atom at s0; ``log_left``, ln(k - s0), the guesses left for the tail;
+    ``log_total``, ln of the sum of (p / e ** lead) ** a over the ranks from s0
+    on; and ln of the sum of (p / max p) ** a over the whole row."""
     rows, k = head.shape
     at, col = np.arange(rows), np.arange(k)
-    heads = (at[:, None], head)  # indexes every row's head columns
+    logp, logh = np.log(P), np.log(H)
+    # Tail terms over the k-th atom, each at most one: column order, head zeroed.
+    y = a.value * (logp - logh[:, k - 1:])
+    np.exp(y, out=y)
+    y[at[:, None], head] = 0.0
+    tail = y.sum(axis=1)
+    del y
+    # Centred on the largest atom, so that a * ln p cannot swamp ln m.
+    x = a.value * (logh - logh[:, :1])
+    # ln of the sum from each rank r < k to the end of the row, tail first.
+    suffix = np.concatenate((np.log(tail)[:, None] + x[:, k - 1:], x[:, ::-1]), axis=1)
+    suffix = np.logaddexp.accumulate(suffix, axis=1)[:, :0:-1]
+    # The threshold is the first rank r with (k - r + 1) w_r <= sum(w_r:),
+    # where this test is False (or NaN); rank k always passes.
+    factors = np.log(np.arange(k, 0, -1, dtype=np.float64))  # ln(k - r + 1)
+    s0 = (factors + x > suffix).argmin(axis=1)
+    while True:
+        # The tail's own sum decides: where a * ln p is large the suffix sums
+        # lose digits and can pass a rank whose first tail entry exceeds one.
+        lead = logh[at, s0]
+        e = np.exp(a.value * (logh - lead[:, None]))
+        tail_over_lead = e[:, k - 1] * tail
+        e[col <= s0[:, None]] = 0.0  # sum the ranks past s0, then add the tail
+        log_total = np.log1p(e.sum(axis=1) + tail_over_lead)
+        log_left = factors[s0]  # ln of the guesses left for the tail
+        over = log_left > log_total
+        if not over.any():
+            break
+        s0 = s0 + over
+    return logp, s0, col < s0[:, None], lead, log_left, log_total, suffix[:, 0]
+
+
+def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
+    """``_solve_rows`` on rows with more than k positive atoms, given the columns
+    ``head`` of each row's k largest atoms, in order, and the atoms ``H`` there:
+    the rank stage, then the passes over whole rows."""
+    rows, k = head.shape
+    heads = (np.arange(rows)[:, None], head)  # indexes every row's head columns
     if a.is_inf:
         t = np.zeros(P.shape)
         t[heads] = 1.0
         return np.maximum(1.0 - H.sum(axis=1), 0.0), np.full(rows, k), t, H[:, k - 1]
     # Beyond float range the loss and the multiplier are +inf; ln 0 is -inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logp, logh = np.log(P), np.log(H)
-        # Tail terms over the k-th atom, each at most one: column order, head zeroed.
-        y = a.value * (logp - logh[:, k - 1:])
-        np.exp(y, out=y)
-        y[heads] = 0.0
-        tail = y.sum(axis=1)
-        # Centred on the largest atom, so that a * ln p cannot swamp ln m.
-        x = a.value * (logh - logh[:, :1])
-        # ln of the sum from each rank r < k to the end of the row, tail first.
-        suffix = np.concatenate((np.log(tail)[:, None] + x[:, k - 1:], x[:, ::-1]), axis=1)
-        suffix = np.logaddexp.accumulate(suffix, axis=1)[:, :0:-1]
-        # The threshold is the first rank r with (k - r + 1) w_r <= sum(w_r:),
-        # where this test is False (or NaN); rank k always passes.
-        factors = np.log(np.arange(k, 0, -1, dtype=np.float64))  # ln(k - r + 1)
-        s0 = (factors + x > suffix).argmin(axis=1)
-        while True:
-            # The tail's own sum decides: where a * ln p is large the suffix sums
-            # lose digits and can pass a rank whose first tail entry exceeds one.
-            lead = logh[at, s0]
-            e = np.exp(a.value * (logh - lead[:, None]))
-            tail_over_lead = e[:, k - 1] * tail
-            e[col <= s0[:, None]] = 0.0  # sum the ranks past s0, then add the tail
-            log_total = np.log1p(e.sum(axis=1) + tail_over_lead)
-            log_left = factors[s0]  # ln of the guesses left for the tail
-            over = log_left > log_total
-            if not over.any():
-                break
-            s0 = s0 + over
-        np.subtract(logp, lead[:, None], out=y)
-        del logp  # arrays as large as P: few at a time, in place
+        y, s0, guessed, lead, log_left, log_total, _ = _rank_stage(P, head, H, a)
+        y -= lead[:, None]  # ln P, in place: arrays as large as P, few at a time
         y *= a.value
         y += (log_left - log_total)[:, None]  # now ln t past the threshold
-        y[heads] = np.where(col < s0[:, None], 0.0, y[heads])
+        y[heads] = np.where(guessed, 0.0, y[heads])
         t = np.exp(y)
         y[P == 0.0] = 0.0  # zero atoms cost nothing
         if not a.is_one:  # (t ** beta - 1) / beta, which is ln t at order one
@@ -279,6 +307,37 @@ def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
         value = -y.sum(axis=1)
         multiplier = np.exp(lead + (log_total - log_left) / a.value)
     return value, s0 + 1, t, multiplier
+
+
+def _log_expectations(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
+    """Per row of ``P`` (nonnegative, summing to one), at a finite order: ln of
+    the best expectation sum(p * t ** beta) over the optimal coverage t, with
+    beta = (a - 1) / a; ln of the sum of (p / max p) ** a; and the column of the
+    largest atom, the lowest on ties.
+
+    From the rank stage alone, in O(k) per row past it: the optimum guesses the
+    r - 1 likeliest atoms outright and spreads k - r + 1 guesses over the rest,
+    so the expectation is their mass plus (k - r + 1) ** beta times the a-norm
+    of the rest.  A row with at most k positive atoms guesses them all: ln 1 = 0.
+    """
+    rows, n = P.shape
+    k = min(k, n)
+    head, H = _head(P, k)
+    live = H[:, k] > 0.0 if k < n else np.zeros(rows, dtype=bool)
+    best, log_mass = np.zeros(rows), np.empty(rows)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not live.all():  # the head holds every positive atom of these rows
+            logh = np.log(H[~live, :k])
+            log_mass[~live] = np.log(np.exp(a.value * (logh - logh[:, :1])).sum(axis=1))
+        if live.any():
+            at = slice(None) if live.all() else live  # no copies when every row is live
+            h = H[at, :k]
+            _, _, guessed, lead, log_left, log_total, mass = _rank_stage(P[at], head[at], h, a)
+            beta = (a.value - 1.0) / a.value
+            spread = lead + beta * log_left + log_total / a.value
+            head_mass = np.where(guessed, h, 0.0).sum(axis=1)
+            best[at], log_mass[at] = np.logaddexp(np.log(head_mass), spread), mass
+    return best, log_mass, head[:, 0]
 
 
 def _report(rows: tuple[np.ndarray, ...], i: int, k: int, a: Alpha) -> LossReport:
@@ -368,4 +427,4 @@ def minimal_loss_conditional(
     reports: list[LossReport | None] = [None] * joint.shape[1]
     for i, y in enumerate(live.tolist()):
         reports[y] = _report(solved, i, k, a)
-    return float(np.dot(weights, solved[0])), reports
+    return float((weights * solved[0]).sum()), reports

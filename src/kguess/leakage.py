@@ -22,11 +22,10 @@ from .core import (
     Pmf,
     _check_budget,
     _joint_rows,
-    _tilt_rows,
     as_alpha,
     as_joint,
 )
-from .guessing import _solve_rows, minimal_loss
+from .guessing import _log_expectations, minimal_loss
 
 __all__ = [
     "RobustnessResult",
@@ -73,7 +72,7 @@ class LeakageReport:
         v = float(self.value)
         if math.isnan(v):
             raise KGuessError("leakage computed as NaN")
-        if v < 0.0:
+        if v <= 0.0:  # -0.0 too, so that no leakage reads -0.0
             if v < -_CLAMP:
                 raise KGuessError(f"leakage came out negative: {v!r}")
             v = 0.0
@@ -84,17 +83,20 @@ class LeakageReport:
         return self.robustness.ok
 
 
-def _flatness(rows: np.ndarray, live: np.ndarray, k: int, a: Alpha):
-    """Flatness condition on the rows of :func:`_joint_rows`."""
-    w, total = _tilt_rows(rows, a.value)
-    # Row i's largest tilted entry is 1 / total[i]; argmax keeps the earliest
-    # maximum: the marginal first, then columns in ascending order.
-    top = 1.0 / total
-    i = int(np.argmax(top))
-    x = int(np.argmax(w[i]))
-    where = ("marginal", x) if i == 0 else ("conditional", int(live[i - 1]), x)
-    best = float(top[i])
-    return RobustnessResult(best <= 1.0 / k + 1e-12, best, 1.0 / k, where)
+def _leakage_rows(joint: JointPmf, k: int, a: Alpha):
+    """For the rows of :func:`_joint_rows` (the marginal of X, then X given each
+    column of positive mass): ln of each row's best expectation, the columns'
+    masses, and the flatness condition, all from the kernel's rank stage."""
+    rows, weights, live = _joint_rows(joint)
+    best, log_mass, top = _log_expectations(rows, k, a)
+    # Row i's largest tilted entry is entry[i], at column top[i]; argmax keeps
+    # the earliest maximum: the marginal first, then columns in ascending order.
+    entry = 1.0 / np.exp(log_mass)
+    i = int(np.argmax(entry))
+    where = ("marginal", int(top[0])) if i == 0 else ("conditional", int(live[i - 1]), int(top[i]))
+    best_entry = float(entry[i])
+    flat = RobustnessResult(best_entry <= 1.0 / k + 1e-12, best_entry, 1.0 / k, where)
+    return best, weights, flat
 
 
 def max_expectation(
@@ -125,29 +127,28 @@ def alpha_leakage(
     expectation with no observation.  Nonnegative; tiny negative rounding
     (within 1e-9) is clamped to zero.  Requires a finite order other than
     one.  The report also carries the flatness condition.
+
+    Each best expectation is read off the closed form of the optimal k-guess
+    strategy (arXiv 2108.08774): with threshold rank r, the r - 1 likeliest
+    symbols are guessed outright and the other k - r + 1 guesses are spread
+    over the tail, so the expectation is the head mass plus
+    (k - r + 1) ** ((a - 1) / a) times the a-norm of the tail.
     """
     joint = as_joint(joint)
     a = as_alpha(alpha)
     if a.is_one or a.is_inf:
         raise DomainError("leakage requires a finite order other than one")
     k = _check_budget(k)
-    rows, weights, live = _joint_rows(joint)
-    beta = (a.value - 1.0) / a.value
-    t = _solve_rows(rows, k, a)[2]
-    # ln of each row's best expectation sum(p * t ** beta) over its optimal
-    # coverage t (max_expectation's 1 - beta * loss), summed in the log domain
-    # with each row shifted by its largest term: at tiny orders t ** beta
-    # overflows float64 while the leakage itself is finite
-    with np.errstate(divide="ignore"):
-        x = beta * np.log(t)
-    x[rows == 0.0] = -np.inf  # zero atoms add nothing
-    top = x.max(axis=1)
-    best = top + np.log((rows * np.exp(x - top[:, None])).sum(axis=1))
+    best, weights, flatness = _leakage_rows(joint, k, a)
+    # ln of N, summed in the log domain with the rows shifted by the largest:
+    # at tiny orders the expectations overflow float64 while the leakage is
+    # finite.  The masses sum to one up to rounding; dividing by their sum
+    # makes a budget that covers every column give exactly zero.
     shift = best[1:].max()
-    num = shift + math.log(float(np.dot(weights, np.exp(best[1:] - shift))))
+    num = shift + math.log((weights * np.exp(best[1:] - shift)).sum() / weights.sum())
     den = float(best[0])
     value = a.value / (a.value - 1.0) * (num - den)
-    return LeakageReport(value, k, a, num, den, _flatness(rows, live, k, a))
+    return LeakageReport(value, k, a, num, den, flatness)
 
 
 def robustness_condition(
@@ -164,5 +165,4 @@ def robustness_condition(
     if a.is_inf:
         raise DomainError("robustness condition requires a finite order")
     k = _check_budget(k)
-    rows, _, live = _joint_rows(joint)
-    return _flatness(rows, live, k, a)
+    return _leakage_rows(joint, k, a)[2]

@@ -315,4 +315,4 @@ def strategy_loss(
             losses = np.where(
                 cover[pos] > 0.0, -np.expm1(beta * logc) / beta, math.inf
             )
-    return float(np.dot(p[pos], losses))
+    return float((p[pos] * losses).sum())

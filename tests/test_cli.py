@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kguess.cli
 from kguess.cli import main
@@ -605,8 +607,12 @@ class TestInputs:
             b'{"kind": "pmf", "probs": [' + b"9" * 401 + b", 1]}",
             b'{"kind": "pmf", "probs": [0.5, 0.5], "labels": 5}',
             b'{"kind": "pmf", "probs": [1.0], "labels": ["\xe9"]}',
+            b'{"kind": "pmf", "probs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            b'{"kind": "pmf", "probs": [0.2, 0.3, 0.5], "labels": [[1], {"a": true}, "c"]}',
+            b'{"kind": "joint", "probs": [[0.5, 0.5]], "y_labels": ["a", true]}',
         ],
-        ids=["strings", "object", "ragged", "huge-integer", "scalar-labels", "not-utf8"],
+        ids=["strings", "object", "ragged", "huge-integer", "scalar-labels", "not-utf8",
+             "deep-nesting", "list-and-object-labels", "bool-label"],
     )
     def test_malformed_file_is_input_error(self, capsys, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -623,3 +629,98 @@ class TestInputs:
         _, out_a, _ = run(capsys, ["loss", str(a), "-k", "1", "--alpha", "2"])
         _, out_b, _ = run(capsys, ["loss", str(b), "-k", "1", "--alpha", "2"])
         assert payload(out_a)["input"]["digest"] == payload(out_b)["input"]["digest"]
+
+
+# ---------------------------------------------------------------------------
+# generated documents and flags
+# ---------------------------------------------------------------------------
+
+# Every JSON type, huge integers among them; rendered as JSON text.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.just(10**400)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+    max_leaves=4,
+)
+odd_texts = st.one_of(
+    json_values.map(json.dumps),
+    st.sampled_from([1, 60, 5_000, 100_000]).map(lambda d: "[" * d + "]" * d),
+    st.sampled_from(["NaN", "Infinity", "[NaN, 1]", '"0.5"', "[[0.5], [0.25, 0.25]]"]),
+)
+# True about one draw in six: odd values now and then, well-formed ones mostly.
+rarely = st.sampled_from([False] * 5 + [True])
+
+
+@st.composite
+def documents(draw, kind: str) -> str:
+    """Mostly well-formed files of the given kind, with a field swapped for an
+    odd value now and then: deep nesting, strings, huge integers, labels of
+    every JSON type, wrong kinds, unknown fields."""
+    shape = (draw(st.integers(1, 8)),) if kind == "pmf" else (draw(st.integers(1, 4)),) * 2
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=math.prod(shape),
+                                 max_size=math.prod(shape))))
+    probs = (raw / raw.sum() if raw.sum() > 0.0 else raw).reshape(shape).tolist()
+    fields = {"kind": json.dumps(draw(st.sampled_from(["other", 3, None])) if draw(rarely) else kind),
+              "probs": draw(odd_texts) if draw(rarely) else json.dumps(probs)}
+    for name in ("labels",) if kind == "pmf" else ("x_labels", "y_labels"):
+        if draw(st.booleans()):
+            labels = draw(st.lists(json_values, min_size=shape[0], max_size=shape[0]))
+            if not draw(rarely):
+                labels = [str(x) for x in labels] if draw(st.booleans()) else list(range(shape[0]))
+            fields[name] = json.dumps(labels)
+    if draw(rarely):
+        fields[draw(st.sampled_from(["extra", "labels", "kind"]))] = draw(odd_texts)
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
+FLAG_VALUES = {  # usual values, then odd ones
+    "-k": (["1", "2", "3", "5"], ["0", "-1", "x", str(10**20)]),
+    "--alpha": (["0.5", "2", "5", "1", "inf"], ["nan", "-1", "abc", "1e-6", "1e12"]),
+    "--k-range": (["1:3", "2", "1,2,5"], ["0:2", "3:1", "a:b"]),
+    "--alphas": (["0.5,2", "1,inf"], ["nan", "", "2,x"]),
+    "--seed": (["0", "7"], ["-1", "x", str(10**30)]),
+    "--tol": (["1e-9", "1e-6"], ["0", "nan", "x"]),
+    "--t": (["1,0.5,0.5", "0.5,0.5"], ["1,1", "x", ",", "2,-1"]),
+}
+COMMANDS = {  # each command's flags, those it needs first
+    "loss": ["-k", "--alpha", "--bits"],
+    "strategy": ["-k", "--alpha", "--seed"],
+    "leakage": ["-k", "--alpha", "--bits"],
+    "sweep": ["--k-range", "--alphas", "--bits"],
+    "verify": ["-k", "--alpha", "--tol"],
+    "check-admissible": ["--t", "-k", "--lp"],
+}
+
+
+@st.composite
+def invocations(draw) -> tuple[list[str], str]:
+    """A command and its flags, now and then with odd values, or with flags of
+    other commands, repeated or missing; and a document, mostly of the kind
+    the command reads."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    kind = {"leakage": "joint", "sweep": draw(st.sampled_from(["pmf", "joint"]))}.get(command, "pmf")
+    if draw(rarely):
+        kind = {"pmf": "joint", "joint": "pmf"}[kind]
+    names = COMMANDS[command][:2] + draw(st.lists(st.sampled_from(COMMANDS[command][2:]), max_size=1))
+    if draw(rarely):
+        names = draw(st.lists(st.sampled_from(sorted(FLAG_VALUES) + ["--bits", "--lp"]), max_size=4))
+    argv = [command]
+    for name in names:
+        if name in ("--bits", "--lp"):
+            argv.append(name)
+        else:
+            argv += [name, draw(st.sampled_from(FLAG_VALUES[name][draw(rarely)]))]
+    return argv, draw(documents(kind))
+
+
+@given(invocations())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_generated_inputs_end_in_a_documented_exit(capsys, tmp_path, invocation):
+    argv, doc = invocation
+    path = tmp_path / "dist.json"
+    path.write_text(doc)
+    if argv[0] != "check-admissible":
+        argv = [argv[0], str(path), *argv[1:]]
+    code, _, err = run(capsys, argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

@@ -204,6 +204,12 @@ class TestPmf:
             Pmf([0.5, 0.5], labels=("a",))
         with pytest.raises(InvalidDistributionError):
             Pmf([0.5, 0.5], labels=("a", "a"))
+        assert Pmf([0.5, 0.5], labels=(1, 2.5)).labels == ("1", "2.5")
+        for bad in ([1], {"a": True}, True, None):
+            with pytest.raises(InvalidDistributionError, match="label 0 must be a string or a number"):
+                Pmf([0.5, 0.5], labels=(bad, "b"))
+            with pytest.raises(InvalidDistributionError, match="label 1 must be a string or a number"):
+                JointPmf([[0.5, 0.5]], y_labels=("a", bad))
 
     def test_constructors(self):
         assert Pmf.uniform(4).probs.tolist() == [0.25] * 4

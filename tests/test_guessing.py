@@ -14,8 +14,9 @@ from kguess.guessing import (
     _PARTITION_MIN_SIZE,
     CoverageVector,
     SortedPmf,
+    _head,
+    _log_expectations,
     _solve_rows,
-    _top_k_order,
     minimal_loss,
     minimal_loss_conditional,
     optimal_coverage,
@@ -504,11 +505,11 @@ def test_partition_order_matches_full_sort():
         n = P.shape[1]
         full = np.argsort(-P, axis=1, kind="stable")
         for k in (1, 2, 7, n - 2, n - 1, n, n + 1):
-            order = _top_k_order(P, k)
-            assert np.array_equal(order[:, :k], full[:, :k])
+            head, H = _head(P, min(k, n))  # the kernel clamps the budget to n
+            assert np.array_equal(head, full[:, :k])
+            assert np.array_equal(H[:, :k], np.take_along_axis(P, full[:, :k], axis=1))
             # Position k holds the (k+1)-th largest atom, which decides liveness.
-            assert np.array_equal(np.take_along_axis(P, order[:, k:k + 1], axis=1),
-                                  np.take_along_axis(P, full[:, k:k + 1], axis=1))
+            assert np.array_equal(H[:, k:k + 1], np.take_along_axis(P, full[:, k:k + 1], axis=1))
             for a in orders:
                 value, rank, t, multiplier = _solve_rows(P, k, a)
                 ref_value, ref_rank, ref_t, ref_multiplier = full_sort_solve_rows(P, k, a)
@@ -520,3 +521,30 @@ def test_partition_order_matches_full_sort():
                 np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0.0)
                 same = rank == ref_rank
                 np.testing.assert_allclose(multiplier[same], ref_multiplier[same], rtol=1e-12)
+
+
+def test_log_expectations_match_the_coverage():
+    """The rank stage's closed-form expectation against ln sum(p * t ** beta)
+    over the coverage of the full kernel, its flatness sum against a tilt, and
+    its largest atom against the full sort."""
+    rng = np.random.default_rng(2025)
+    for P in partition_cases(rng):
+        n = P.shape[1]
+        full = np.argsort(-P, axis=1, kind="stable")
+        with np.errstate(divide="ignore"):
+            logp = np.log(P)
+        for a in [Alpha(v) for v in (1e-6, 0.5, 2.0, 20.0, 1e12)]:
+            beta = (a.value - 1.0) / a.value
+            tilt = np.log(np.exp(a.value * (logp - logp.max(axis=1, keepdims=True))).sum(axis=1))
+            for k in (1, 2, 7, n - 1, n):
+                best, log_mass, top = _log_expectations(P, k, a)
+                t = _solve_rows(P, k, a)[2]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    terms = np.where(P > 0.0, logp + beta * np.log(t), -np.inf)
+                # The leakage is (1 / beta) times a difference of these: 1e-12 there.
+                np.testing.assert_allclose(best, np.logaddexp.reduce(terms, axis=1),
+                                           rtol=0.0, atol=1e-12 * max(1.0, abs(beta)))
+                if k >= n:
+                    assert np.all(best == 0.0)  # exactly: every atom is guessed
+                np.testing.assert_allclose(log_mass, tilt, rtol=0.0, atol=1e-13)
+                assert np.array_equal(top, full[:, 0])

@@ -98,6 +98,16 @@ class TestAlphaLeakage:
         report = alpha_leakage(JOINT22, 2, 2)
         assert report.value == pytest.approx(0.0, abs=1e-12)
 
+    def test_full_budget_is_exactly_zero(self):
+        # Every row guesses all of its atoms: expectation one, ln 1 = 0, exactly.
+        P = np.random.default_rng(8).dirichlet(np.ones(16)).reshape(4, 4)
+        for k in (4, 5):
+            for alpha in (0.5, 2.0):
+                report = alpha_leakage(P, k, alpha)
+                assert report.numerator_exponent == 0.0
+                assert report.denominator_exponent == 0.0
+                assert report.value == 0.0 and math.copysign(1.0, report.value) == 1.0
+
     def test_budget_beyond_machine_integers(self):
         for k in (2**63, 10**20):
             report = alpha_leakage(JOINT22, k, 2)
@@ -284,6 +294,42 @@ def reference_flatness(joint: JointPmf, alpha: float) -> tuple[float, tuple]:
     return best, where
 
 
+def reference_log_leakage(joint: JointPmf, k: int, alpha: float) -> float:
+    """reference_leakage with each best expectation ln sum(p * t ** beta) taken
+    in the log domain from minimal_loss's coverage, so that it stays finite at
+    tiny orders, where the expectations overflow float64."""
+    beta = (alpha - 1.0) / alpha
+
+    def log_best(pmf: Pmf) -> float:
+        p, t = pmf.probs, minimal_loss(pmf, k, alpha).coverage.t
+        with np.errstate(divide="ignore"):
+            return float(np.logaddexp.reduce(np.log(p[p > 0.0]) + beta * np.log(t[p > 0.0])))
+
+    py = joint.probs.sum(axis=0)
+    columns = [math.log(py[y]) + log_best(conditional_pmf(joint, y))
+               for y in range(joint.shape[1]) if py[y] > 0.0]
+    return (np.logaddexp.reduce(columns) - log_best(joint.marginal_x())) / beta
+
+
+def test_tied_partitioned_joints_match_per_column_reference():
+    # Integer-valued joints above the partition cut-off: many rows tie at the
+    # k-th atom, so the kernel sorts some rows whole and partitions the rest.
+    rng = np.random.default_rng(29)
+    for n_x, n_y, ks in ((64, 64, (1, 2, 7, 63, 64)), (201, 200, (1, 2, 7))):
+        counts = rng.integers(1, 60, size=(n_x, n_y)).astype(float)
+        joint = JointPmf(counts / counts.sum())
+        for alpha in (1e-6, 0.5, 2.0, 20.0, 1e12):
+            best, where = reference_flatness(joint, alpha)
+            for k in ks:
+                report = alpha_leakage(joint, k, alpha)
+                assert report.value == pytest.approx(
+                    max(reference_log_leakage(joint, k, alpha), 0.0), abs=1e-12
+                )
+                assert report.robustness == robustness_condition(joint, k, alpha)
+                assert report.robustness.location == where
+                assert report.robustness.max_entry == pytest.approx(best, abs=1e-14)
+
+
 def batch_test_joints() -> list[JointPmf]:
     rng = np.random.default_rng(17)
     joints = []
@@ -328,6 +374,7 @@ def test_batched_columns_match_per_column_reference():
                     max(reference_leakage(joint, k, alpha), 0.0), abs=1e-12
                 )
                 best, where = reference_flatness(joint, alpha)
+                assert report.robustness == robustness_condition(joint, k, alpha)
                 for condition in (report.robustness, robustness_condition(joint, k, alpha)):
                     assert condition.location == where
                     assert condition.max_entry == pytest.approx(best, abs=1e-14)
