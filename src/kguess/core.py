@@ -174,6 +174,42 @@ def _freeze(a: np.ndarray, dtype=np.float64) -> np.ndarray:
     return a
 
 
+# Below this length the stable sort is the faster: 3.6 against 7.7 us at 20
+# elements and 32 against 44 us at 1000, but 150 against 70 us at 2000 (the
+# unstable sort plus the tied-run pass; numpy 2.4, one core).
+_STABLE_SORT_MAX = 1024
+
+
+def _descending(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(-x, kind="stable")`` for a 1-d array without NaNs.
+
+    Long arrays are sorted by the faster unstable sort, after which only the
+    runs of tied values are re-sorted, by index: one sort of the keys
+    ``group * n + index`` puts each run in ascending index order and keeps
+    the runs where they are.  The result is the stable order exactly.
+    """
+    n = x.size
+    if n < _STABLE_SORT_MAX:
+        return np.argsort(-x, kind="stable")
+    neg = -x
+    idx = np.argsort(neg)
+    s = neg[idx]
+    tied = s[1:] == s[:-1]
+    if not tied.any():
+        return idx
+    in_run = np.zeros(n, dtype=bool)
+    in_run[1:] = tied
+    in_run[:-1] |= tied
+    pos = np.flatnonzero(in_run)
+    # a run starts at each member not tied to the element before it
+    group = np.ones(pos.size, dtype=np.int64)
+    group[1:] = ~tied[pos[1:] - 1]
+    keys = np.cumsum(group) * n + idx[pos]
+    keys.sort()
+    idx[pos] = keys % n
+    return idx
+
+
 def _check_budget(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise DomainError(f"guess budget must be a positive integer, got {k!r}")

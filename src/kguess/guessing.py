@@ -32,6 +32,7 @@ from .core import (
     Pmf,
     SUM_TOL,
     _check_budget,
+    _descending,
     _freeze,
     _joint_rows,
     as_alpha,
@@ -57,7 +58,8 @@ class SortedPmf:
     ``perm[r]`` is the original index of the symbol at sorted rank ``r``.
     Zero atoms are stripped; ``size`` remembers the original length so
     results can be embedded back.  Ties sort by ascending original index
-    (the sort is stable), which makes downstream tie-breaking deterministic.
+    (the order of a stable sort), which makes downstream tie-breaking
+    deterministic.
     """
 
     probs: np.ndarray
@@ -90,9 +92,8 @@ class SortedPmf:
     def from_pmf(cls, pmf: "Pmf | object") -> "SortedPmf":
         pmf = as_pmf(pmf)
         pos = np.flatnonzero(pmf.probs > 0.0)
-        # stable argsort of the negated values keeps ties in ascending
-        # original-index order
-        order = pos[np.argsort(-pmf.probs[pos], kind="stable")]
+        # ties stay in ascending original-index order
+        order = pos[_descending(pmf.probs[pos])]
         return cls(pmf.probs[order], order, pmf.n)
 
 

@@ -266,7 +266,10 @@ def minimize_expected_loss(
         if gap <= tol:
             break
         g = gradient(t)
-        curvature = np.clip(p * (1.0 / av) * t ** (-1.0 - 1.0 / av), 1e-8, 1e18)
+        # below order one the power overflows to inf near the floor; the clip
+        # caps it
+        with np.errstate(over="ignore"):
+            curvature = np.clip(p * (1.0 / av) * t ** (-1.0 - 1.0 / av), 1e-8, 1e18)
 
         def try_steps(candidate_at) -> bool:
             """Backtracking line search over one direction family."""

@@ -22,6 +22,7 @@ from .core import (
     Pmf,
     SUM_TOL,
     _check_budget,
+    _descending,
     _freeze,
     as_alpha,
     as_pmf,
@@ -184,17 +185,41 @@ class SubsetMixture:
         return self._coverage
 
 
+def _run_lengths(bounds: np.ndarray, cells: int) -> np.ndarray:
+    """Run lengths of the offset-major ranks, checked for repeated guesses.
+
+    Rank v fills the key positions from ``bounds[v-1]`` (0 for v = 0) up to
+    ``bounds[v]``, and ``bounds[-1]`` is the number of keys.  Each cell's rank
+    must grow from one whole-number window to the next, so every window of
+    positions (q, q + cells] must hold a bound: no run may be longer than
+    ``cells``.
+    """
+    lengths = bounds.copy()
+    lengths[1:] -= bounds[:-1]
+    if lengths.max() > cells:
+        raise KGuessError("decomposition produced a repeated guess; bug")
+    return lengths
+
+
 def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     """Build an explicit mixture whose inclusion probabilities equal ``cov``.
 
-    Walks the cumulative sums of the coverage entries (largest first) and
-    cuts the unit interval at their fractional parts; each cell then picks
-    one symbol per whole-number window, which yields at most n distinct
-    subsets whose weighted union reproduces the coverage exactly.  Symbols
-    with zero coverage never appear.  The output is deterministic: cells
-    are emitted left to right and duplicate subsets are merged.  Subsets
-    hold ``cov.spent`` symbols, fewer than ``cov.k`` when the coverage
-    spends fewer guesses (a budget above the support size).
+    This is Madow's systematic design.  The cumulative sums of the coverage
+    entries (largest first) cut the unit interval at their fractional parts;
+    each cell picks one symbol per whole-number window, which yields at most
+    n distinct subsets whose weighted union reproduces the coverage exactly.
+    Symbols with zero coverage never appear.  The output is deterministic:
+    cells are emitted left to right and duplicate subsets are merged.  Subsets
+    hold ``cov.spent`` symbols, fewer than ``cov.k`` when the coverage spends
+    fewer guesses (a budget above the support size).
+
+    One binary search places the cumulative sums among the k * cells window
+    keys, offset-major.  Along the keys the rank of the picked symbol steps up
+    by one at each landing position, so the mixture is one repeat of the
+    symbols by the gaps between landings, transposed to a row per cell.  The landings also
+    give the merges (adjacent cells differ only where a landing falls on the
+    later cell) and the repeated-guess check, in O(n); the coverage check
+    reads the built subsets.
     """
     if not isinstance(cov, CoverageVector):
         raise DomainError("realize_coverage expects a CoverageVector")
@@ -204,55 +229,54 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
         raise AdmissibilityError(f"coverage not realizable: {verdict.detail}")
 
     support = np.flatnonzero(cov.t > 0.0)
-    order = support[np.argsort(-cov.t[support], kind="stable")]
-    t = np.clip(cov.t[order], 0.0, 1.0)
+    order = support[_descending(cov.t[support])]
+    t = np.minimum(cov.t[order], 1.0)  # the entries are positive
     t = t * (k / float(t.sum()))
     cums = np.cumsum(t)
     cums[-1] = float(k)
 
     fracs = cums - np.floor(cums)
     fracs[fracs >= 1.0 - _MERGE_TOL] = 0.0
-    cuts = np.unique(np.concatenate(([0.0], fracs)))
-    keep = np.concatenate(([True], np.diff(cuts) > _MERGE_TOL))
-    cuts = cuts[keep]
-    edges = np.append(cuts, 1.0)
-    widths = np.diff(edges)
-    wide = widths > _MERGE_TOL
-    mids = 0.5 * (edges[:-1] + edges[1:])[wide]
-    widths = widths[wide]
+    # The cell edges: 0, the sorted fractional parts and 1, each kept only if
+    # it lies more than _MERGE_TOL above the value sorted before it (1 always
+    # does, fracs being below 1 - _MERGE_TOL).  Kept edges are then more than
+    # _MERGE_TOL apart, so every cell gets a positive weight.
+    edges = np.sort(np.concatenate(([0.0], fracs, [1.0])))
+    edges = edges[np.concatenate(([True], edges[1:] - edges[:-1] > _MERGE_TOL))]
+    widths = edges[1:] - edges[:-1]
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    cells = mids.size
 
-    # Row c of ``ranks`` picks one symbol per whole-number window for cell
-    # c: the number of cums at or below each key offset + mids[c], that is
-    # searchsorted(cums, keys, side="right").  Offset-major keys never
-    # decrease, so that count is a running count of where the cums land
-    # among the keys, which avoids a binary search per key.
+    # Cell c picks, in window j, the symbol of rank searchsorted(cums, j +
+    # mids[c], side="right") (at most the last).  Along the offset-major keys
+    # that rank is the number of cums landing at or before the key, so rank v
+    # fills the keys from the landing of cums[v-1] up to that of cums[v]; the
+    # last rank runs to the end.
     keys = np.arange(k, dtype=np.float64)[:, None] + mids
-    landing = np.searchsorted(keys.ravel(), cums, side="left")
-    del keys  # the largest temporary; free it before the counts
-    ranks = np.cumsum(np.bincount(landing, minlength=k * mids.size + 1)[:-1])
-    ranks = ranks.reshape(k, mids.size).T
-    np.minimum(ranks, order.size - 1, out=ranks)
-    if not np.all(ranks[:, 1:] > ranks[:, :-1]):
-        raise KGuessError("decomposition produced a repeated guess; bug")
+    bounds = np.searchsorted(keys.ravel(), cums, side="left")
+    del keys  # the largest temporary; free it before the mixture
+    bounds[-1] = k * cells
+    lengths = _run_lengths(bounds, cells)
+    subsets = np.repeat(order, lengths).reshape(k, cells).T
 
-    # Every rank column is nondecreasing in the cell midpoint, so equal
-    # subsets sit in adjacent cells: merge each run into its first cell.
-    changed = np.ones(len(ranks), dtype=bool)
-    changed[1:] = np.any(ranks[1:] != ranks[:-1], axis=1)
+    # Equal subsets sit in adjacent cells, and cell c differs from cell c - 1
+    # exactly when a rank steps up between them: when some landing falls on c
+    # modulo cells.  Merge each run of equal cells into its first cell (the
+    # last bound, k * cells, marks cell 0).
+    changed = np.zeros(cells, dtype=bool)
+    changed[bounds % cells] = True
     starts = np.flatnonzero(changed)
-    run = np.diff(np.append(starts, len(ranks)))
+    run = np.concatenate((starts[1:], [cells])) - starts
     # Sum each run left to right, as a per-cell loop would; np.add.reduceat
     # adds runs of three or more in another order.
     weights = widths[starts]
     for step in range(1, int(run.max())):
         longer = run > step
         weights[longer] += widths[starts[longer] + step]
-
-    ranks = ranks[starts]
-    # Members are distinct (ranks strictly increase, checked above) and weights
-    # positive (cells wider than _MERGE_TOL); the coverage is checked below.
-    mix = SubsetMixture._from_checked(order[ranks], weights)
-    del ranks  # as large as the mixture: free it before the coverage check
+    subsets = subsets[starts]  # a row per component, in C order
+    # Members are distinct (checked by _run_lengths) and weights positive
+    # (cells wider than _MERGE_TOL); the coverage is checked below.
+    mix = SubsetMixture._from_checked(subsets, weights)
     induced = mix._induced_coverage(cov.t.size)
     if float(np.max(np.abs(induced - cov.t))) > SUM_TOL:
         raise KGuessError("decomposition failed to reproduce the coverage; bug")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,16 @@ class TestVerify:
             drifted += sum(round(v * 1e9) for v in t) != k * 10**9
         # the inputs do exercise the rounding fault
         assert drifted >= 1
+
+    def test_near_zero_atom_below_order_one_writes_no_warning(self, capsys, tmp_path):
+        # The oracle's curvature overflows to inf at iterates near its floor.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"kind": "pmf", "probs": [0.2778, 1e-300, 0.5556, 0.1666]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["verify", str(path), "-k", "1", "--alpha", "0.5"])
+        assert code == 0 and payload(out)["outputs"]["checks_agree"] is True
+        assert err == "" and [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, files, tol):

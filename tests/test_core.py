@@ -19,6 +19,7 @@ from kguess.core import (
     KGuessError,
     ParseError,
     Pmf,
+    _descending,
     alpha_loss,
     arimoto_conditional_entropy,
     conditional_pmf,
@@ -357,3 +358,34 @@ class TestEntropies:
         conditional = float(arimoto_conditional_entropy(joint, alpha))
         marginal = float(renyi_entropy(joint.marginal_x(), alpha))
         assert conditional <= marginal + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# descending order
+# ---------------------------------------------------------------------------
+
+
+class TestDescending:
+    """``_descending`` must equal the stable descending argsort exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 1023, 1024, 1025, 5000])
+    def test_matches_stable_argsort(self, n):
+        rng = np.random.default_rng(n)
+        cases = {
+            "distinct": rng.random(n),
+            "quarter grid": rng.integers(0, 5, size=n) / 4.0,
+            "ones heavy": np.where(rng.random(n) < 0.3, 1.0, rng.random(n)),
+            "all equal": np.ones(n),
+            "signed zeros": np.where(rng.random(n) < 0.5, 0.0, -0.0),
+            "tail ties": np.concatenate((rng.random(n - n // 2), np.full(n // 2, 0.125))),
+        }
+        for name, x in cases.items():
+            want = np.argsort(-x, kind="stable")
+            assert np.array_equal(_descending(x), want), name
+
+    def test_few_levels_match_stable_argsort(self):
+        rng = np.random.default_rng(12)
+        levels = np.array([0.0, 0.1, 0.25, 0.5, 1.0])
+        for _ in range(60):
+            x = rng.choice(levels[: rng.integers(1, 6)], size=int(rng.integers(1024, 1500)))
+            assert np.array_equal(_descending(x), np.argsort(-x, kind="stable"))

@@ -68,6 +68,14 @@ class TestSortedPmf:
         sp = SortedPmf.from_pmf(Pmf([0.25, 0.25, 0.25, 0.25]))
         assert sp.perm.tolist() == [0, 1, 2, 3]
 
+    def test_long_tied_pmf_keeps_the_stable_order(self):
+        # 3000 atoms on five levels, some zero: the long-array sort path
+        w = np.random.default_rng(8).integers(0, 5, size=3000).astype(float)
+        p = w / w.sum()
+        sp = SortedPmf.from_pmf(Pmf(p))
+        pos = np.flatnonzero(p > 0.0)
+        assert np.array_equal(sp.perm, pos[np.argsort(-p[pos], kind="stable")])
+
 
 # ---------------------------------------------------------------------------
 # CoverageVector

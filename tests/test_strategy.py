@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kguess.core import Alpha, DomainError, Pmf
+from kguess.core import Alpha, DomainError, KGuessError, Pmf
 from kguess.guessing import CoverageVector, minimal_loss
 from kguess.strategy import (
     SubsetMixture,
+    _run_lengths,
     is_admissible,
     realize_coverage,
     sample_guesses,
@@ -92,23 +93,26 @@ class FixedUniforms(np.random.Generator):
         return self.us.pop(0)
 
 
+def coverage_of_kind(rng: np.random.Generator, n: int, k: int, kind: int) -> np.ndarray:
+    """Kind 0 random, 1 quarter-grid tied, 2 random with zero entries."""
+    if kind == 0:
+        return random_coverage(rng, n, k)
+    if kind == 1:
+        return tied_coverage(rng, n, k)
+    # zero entries off a random support larger than k
+    t = np.zeros(n)
+    m = int(rng.integers(k + 1, n + 1))
+    t[rng.choice(n, size=m, replace=False)] = random_coverage(rng, m, k)
+    return t
+
+
 def mixed_coverages(rng: np.random.Generator, trials: int) -> list[CoverageVector]:
     """Random, quarter-grid tied, and zero-entry coverages with n <= 20."""
     covs = []
     for trial in range(trials):
         n = int(rng.integers(2, 21))
         k = int(rng.integers(1, n))
-        kind = trial % 3
-        if kind == 0:
-            t = random_coverage(rng, n, k)
-        elif kind == 1:
-            t = tied_coverage(rng, n, k)
-        else:
-            # zero entries off a random support larger than k
-            t = np.zeros(n)
-            m = int(rng.integers(k + 1, n + 1))
-            t[rng.choice(n, size=m, replace=False)] = random_coverage(rng, m, k)
-        covs.append(CoverageVector(t, k))
+        covs.append(CoverageVector(coverage_of_kind(rng, n, k, trial % 3), k))
     return covs
 
 
@@ -287,6 +291,32 @@ class TestRealizeCoverage:
                 got, want = getattr(mix, name), getattr(checked, name)
                 assert got.dtype == want.dtype and not got.flags.writeable
                 assert np.array_equal(got, want)
+
+    @given(
+        st.integers(min_value=2, max_value=400),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_up_to_400_symbols(self, n, share, kind, seed):
+        k = 1 + int(share * (n - 2))  # 1 .. n - 1
+        cov = CoverageVector(coverage_of_kind(np.random.default_rng(seed), n, k, kind), k)
+        mix = realize_coverage(cov)
+        subsets, weights = reference_realize(cov)
+        assert mix.subsets.tolist() == subsets
+        assert mix.weights.tolist() == weights.tolist()
+        for arr in (mix.subsets, mix.weights):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_gapped_bounds_raise_the_repeated_guess_error(self):
+        # k = 3 windows of 4 cells: a run of at most 4 positions per rank
+        assert _run_lengths(np.array([2, 5, 9, 12]), 4).tolist() == [2, 3, 4, 3]
+        assert _run_lengths(np.array([4, 8, 12]), 4).tolist() == [4, 4, 4]
+        for gapped in ([5, 9, 12], [2, 3, 8, 12], [2, 6, 7, 12]):
+            # some window (q, q + 4] holds no bound: one cell repeats a symbol
+            with pytest.raises(KGuessError, match="repeated guess"):
+                _run_lengths(np.array(gapped), 4)
 
     def test_merges_equal_adjacent_cells(self):
         # Cuts 0.75 - 2**-39 and 0.75 bound a one-ulp cell; in the window at
