@@ -45,6 +45,9 @@ __all__ = [
 SUM_TOL = 1e-9
 # Width of the snap interval around alpha = 1.
 ONE_SNAP_TOL = 1e-12
+# Rounding slack for entries that must lie in [0, 1] and for values that
+# cannot be negative.
+BOUND_SLACK = 1e-12
 
 
 class KGuessError(Exception):
@@ -216,14 +219,50 @@ def _check_budget(k: int) -> int:
     return int(k)
 
 
-def _float_array(values, what: str) -> np.ndarray:
-    """Convert distribution entries to float64, or raise InvalidDistributionError."""
+def _array(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
+    """``values`` as a nonempty, finite float64 array of ``ndim`` dimensions,
+    or ``error``: the one reader of every input array."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be an array of numbers: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise error(f"{what} must be a nonempty {ndim}-d array")
+    if not np.isfinite(arr).all():
+        raise error(f"{what} entries must be finite")
+    return arr
+
+
+def _distribution(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a read-only distribution of ``ndim`` dimensions: entries
+    nonnegative and summing to one within SUM_TOL, renormalized to sum to one
+    exactly (up to rounding).  Raises InvalidDistributionError."""
+    p = _array(values, ndim, what, InvalidDistributionError)
+    if (p < 0.0).any():
+        at = tuple(int(i) for i in np.unravel_index(int(np.argmin(p)), p.shape))
         raise InvalidDistributionError(
-            f"{what} must be an array of numbers: {exc}"
-        ) from None
+            f"{what} entry {at[0] if ndim == 1 else at} is negative ({float(p[at])!r})"
+        )
+    s = float(p.sum())
+    if abs(s - 1.0) > SUM_TOL:
+        raise InvalidDistributionError(f"{what} sums to {s!r}, outside 1 +/- {SUM_TOL}")
+    return _freeze(p / s)
+
+
+def _outside_unit(arr: np.ndarray) -> np.ndarray:
+    """Indices of the entries of ``arr`` outside [0, 1] by more than BOUND_SLACK."""
+    return np.flatnonzero((arr < -BOUND_SLACK) | (arr > 1.0 + BOUND_SLACK))
+
+
+def _nonnegative(value: float, what: str, slack: float) -> float:
+    """``value`` as a float that cannot be negative: NaN or anything below
+    ``-slack`` raises KGuessError; smaller negatives and -0.0 read 0.0."""
+    v = float(value)
+    if math.isnan(v):
+        raise KGuessError(f"{what} computed as NaN")
+    if v < -slack:
+        raise KGuessError(f"{what} came out negative: {v!r}")
+    return v if v > 0.0 else 0.0  # max(-0.0, 0.0) is -0.0
 
 
 def _check_labels(labels, count: int, what: str) -> tuple[str, ...] | None:
@@ -265,25 +304,9 @@ class Pmf:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        p = _float_array(self.probs, "pmf")
-        if p.ndim != 1 or p.size == 0:
-            raise InvalidDistributionError("pmf must be a nonempty 1-d array")
-        if not np.all(np.isfinite(p)):
-            raise InvalidDistributionError("pmf entries must be finite")
-        if np.any(p < 0.0):
-            i = int(np.argmin(p))
-            raise InvalidDistributionError(
-                f"pmf entry {i} is negative ({float(p[i])!r})"
-            )
-        s = float(p.sum())
-        if abs(s - 1.0) > SUM_TOL:
-            raise InvalidDistributionError(
-                f"pmf sums to {s!r}, outside 1 +/- {SUM_TOL}"
-            )
-        object.__setattr__(self, "probs", _freeze(p / s))
-        object.__setattr__(
-            self, "labels", _check_labels(self.labels, p.size, "pmf")
-        )
+        p = _distribution(self.probs, 1, "pmf")
+        object.__setattr__(self, "probs", p)
+        object.__setattr__(self, "labels", _check_labels(self.labels, p.size, "pmf"))
 
     @property
     def n(self) -> int:
@@ -325,22 +348,8 @@ class JointPmf:
     y_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        p = _float_array(self.probs, "joint pmf")
-        if p.ndim != 2 or p.size == 0:
-            raise InvalidDistributionError("joint pmf must be a nonempty 2-d array")
-        if not np.all(np.isfinite(p)):
-            raise InvalidDistributionError("joint pmf entries must be finite")
-        if np.any(p < 0.0):
-            x, y = np.unravel_index(int(np.argmin(p)), p.shape)
-            raise InvalidDistributionError(
-                f"joint pmf entry ({x}, {y}) is negative ({float(p[x, y])!r})"
-            )
-        s = float(p.sum())
-        if abs(s - 1.0) > SUM_TOL:
-            raise InvalidDistributionError(
-                f"joint pmf sums to {s!r}, outside 1 +/- {SUM_TOL}"
-            )
-        object.__setattr__(self, "probs", _freeze(p / s))
+        p = _distribution(self.probs, 2, "joint pmf")
+        object.__setattr__(self, "probs", p)
         object.__setattr__(
             self, "x_labels", _check_labels(self.x_labels, p.shape[0], "joint pmf x")
         )
@@ -382,14 +391,7 @@ class Entropy:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if math.isnan(v):
-            raise KGuessError("entropy computed as NaN")
-        if v < 0.0:
-            if v < -1e-12:
-                raise KGuessError(f"entropy came out negative: {v!r}")
-            v = 0.0
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _nonnegative(self.value, "entropy", BOUND_SLACK))
 
     @property
     def bits(self) -> float:
@@ -424,7 +426,7 @@ def alpha_loss(p: float, alpha: "Alpha | float | str") -> float:
         orders <= 1 and the finite ceiling a / (a - 1) for orders > 1.
     """
     a = as_alpha(alpha)
-    if math.isnan(p) or p < -1e-12 or p > 1.0 + 1e-12:
+    if math.isnan(p) or p < -BOUND_SLACK or p > 1.0 + BOUND_SLACK:
         raise DomainError(f"probability {p!r} outside [0, 1]")
     p = min(max(float(p), 0.0), 1.0)
     if a.is_inf:

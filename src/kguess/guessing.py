@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BOUND_SLACK,
     Alpha,
     BudgetError,
     DomainError,
@@ -31,10 +32,13 @@ from .core import (
     KGuessError,
     Pmf,
     SUM_TOL,
+    _array,
     _check_budget,
     _descending,
     _freeze,
     _joint_rows,
+    _nonnegative,
+    _outside_unit,
     as_alpha,
     as_joint,
     as_pmf,
@@ -67,11 +71,11 @@ class SortedPmf:
     size: int
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = _array(self.probs, 1, "sorted pmf")
         perm = np.asarray(self.perm, dtype=np.intp)
-        if p.ndim != 1 or perm.shape != p.shape:
+        if perm.shape != p.shape:
             raise DomainError("sorted pmf needs matching 1-d probs and perm")
-        if p.size == 0 or np.any(p <= 0.0):
+        if np.any(p <= 0.0):
             raise DomainError("sorted pmf entries must be strictly positive")
         if np.any(np.diff(p) > 0.0):
             raise DomainError("sorted pmf entries must be nonincreasing")
@@ -110,11 +114,9 @@ class CoverageVector:
     k: int
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=np.float64)
-        if t.ndim != 1 or t.size == 0:
-            raise DomainError("coverage must be a nonempty 1-d array")
+        t = _array(self.t, 1, "coverage")
         k = _check_budget(self.k)
-        if np.any(~np.isfinite(t)) or np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
+        if _outside_unit(t).size:
             raise DomainError("coverage entries must lie in [0, 1]")
         t = np.clip(t, 0.0, 1.0)
         total = float(t.sum())
@@ -150,20 +152,13 @@ class LossReport:
     multiplier: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if math.isnan(v):
-            raise KGuessError("loss computed as NaN")
-        if v < 0.0:
-            if v < -1e-12:
-                raise KGuessError(f"minimal loss came out negative: {v!r}")
-            v = 0.0
         if not 1 <= self.threshold_rank <= self.coverage.k:
             raise KGuessError(
                 f"threshold rank {self.threshold_rank} outside [1, {self.coverage.k}]"
             )
         if not self.multiplier > 0.0:
             raise KGuessError(f"multiplier must be positive, got {self.multiplier!r}")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _nonnegative(self.value, "minimal loss", BOUND_SLACK))
         object.__setattr__(self, "threshold_rank", int(self.threshold_rank))
 
 
@@ -362,13 +357,12 @@ def threshold_rank(
     top-k indicator is the limiting optimum).  Requires ``k`` below the
     positive support size.
     """
-    if not isinstance(sorted_pmf, SortedPmf):
-        sorted_pmf = SortedPmf.from_pmf(sorted_pmf)
+    probs = (sorted_pmf if isinstance(sorted_pmf, SortedPmf) else as_pmf(sorted_pmf)).probs
     a = as_alpha(alpha)
     k = _check_budget(k)
-    if k >= (support := sorted_pmf.support_size):
+    if k >= (support := int(np.count_nonzero(probs))):
         raise BudgetError(f"budget {k} not below positive support {support}")
-    return int(_solve_rows(sorted_pmf.probs[None, :], k, a)[1][0])
+    return int(_solve_rows(probs[None, :], k, a)[1][0])
 
 
 def minimal_loss(

@@ -18,10 +18,10 @@ from .core import (
     Alpha,
     DomainError,
     JointPmf,
-    KGuessError,
     Pmf,
     _check_budget,
     _joint_rows,
+    _nonnegative,
     as_alpha,
     as_joint,
 )
@@ -69,14 +69,7 @@ class LeakageReport:
     robustness: RobustnessResult
 
     def __post_init__(self) -> None:
-        v = float(self.value)
-        if math.isnan(v):
-            raise KGuessError("leakage computed as NaN")
-        if v <= 0.0:  # -0.0 too, so that no leakage reads -0.0
-            if v < -_CLAMP:
-                raise KGuessError(f"leakage came out negative: {v!r}")
-            v = 0.0
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", _nonnegative(self.value, "leakage", _CLAMP))
 
     @property
     def robust(self) -> bool:

@@ -32,6 +32,7 @@ from .core import (
     KGuessError,
     Pmf,
     SizeError,
+    _array,
     _check_budget,
     as_alpha,
     as_pmf,
@@ -122,11 +123,9 @@ def _project(v: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.nda
 
 def project_capped_simplex(v: "np.ndarray | object", domain: CappedSimplex) -> np.ndarray:
     """Closest point of the capped simplex to ``v`` in Euclidean norm."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size != domain.n:
+    v = _array(v, 1, "vector to project")
+    if v.size != domain.n:
         raise DomainError(f"expected a vector of length {domain.n}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("cannot project a non-finite vector")
     t = _project(v, domain.k)
     if abs(float(t.sum()) - domain.k) > 1e-10:
         raise KGuessError("projection failed to hit the budget; this is a bug")
@@ -494,11 +493,7 @@ def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
     Under the usual normalization sum(t) = k, feasibility here coincides
     with coverage admissibility.
     """
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("feasibility test needs a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("feasibility test needs finite entries")
+    arr = _array(t, 1, "feasibility vector")
     k = _check_budget(k)
     n = arr.size
     if n > _MAX_ROWS:

@@ -8,22 +8,22 @@ mixture, and evaluates the expected loss any mixture incurs.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    AdmissibilityError,
     Alpha,
     DomainError,
     KGuessError,
     Pmf,
     SUM_TOL,
+    _array,
     _check_budget,
     _descending,
     _freeze,
+    _outside_unit,
     as_alpha,
     as_pmf,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "strategy_loss",
 ]
 
-_BOUND_SLACK = 1e-12
 _MERGE_TOL = 1e-12
 # Mixture coverage is summed this many subset members at a time, so that its
 # temporaries stay small however large the mixture is.
@@ -69,13 +68,9 @@ def is_admissible(values: "np.ndarray | object", k: int) -> Admissibility:
     conditions characterize exactly the vectors obtainable as per-symbol
     inclusion probabilities of k-subset mixtures.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("admissibility needs a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("admissibility needs finite entries")
+    arr = _array(values, 1, "admissibility vector")
     k = _check_budget(k)
-    bad = np.flatnonzero((arr < -_BOUND_SLACK) | (arr > 1.0 + _BOUND_SLACK))
+    bad = _outside_unit(arr)
     if bad.size:
         i = int(bad[0])
         return Admissibility(
@@ -131,10 +126,10 @@ class SubsetMixture:
             raise DomainError("indices within a component must be distinct")
         if s.min() < 0:
             raise DomainError("subset members must be nonnegative indices")
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _array(self.weights, 1, "component weights")
         if w.shape != (s.shape[0],):
             raise DomainError("one weight per component required")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
+        if np.any(w <= 0.0):
             raise DomainError("component weights must be positive")
         total = float(w.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -224,10 +219,6 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     if not isinstance(cov, CoverageVector):
         raise DomainError("realize_coverage expects a CoverageVector")
     k = cov.spent
-    verdict = is_admissible(cov.t, k)
-    if not verdict:
-        raise AdmissibilityError(f"coverage not realizable: {verdict.detail}")
-
     support = np.flatnonzero(cov.t > 0.0)
     order = support[_descending(cov.t[support])]
     t = np.minimum(cov.t[order], 1.0)  # the entries are positive
@@ -332,11 +323,7 @@ def strategy_loss(
         beta = (a.value - 1.0) / a.value
         with np.errstate(divide="ignore"):
             logc = np.log(cover[pos])
-        if a.value > 1.0:
-            losses = -np.expm1(beta * logc) / beta
-        else:
-            # at zero coverage the tail term blows up; expm1(inf) handles it
-            losses = np.where(
-                cover[pos] > 0.0, -np.expm1(beta * logc) / beta, math.inf
-            )
+        # At zero coverage beta * ln 0 is +inf below order one, giving +inf,
+        # and -inf above it, giving the ceiling 1 / beta.
+        losses = -np.expm1(beta * logc) / beta
     return float((p[pos] * losses).sum())

@@ -26,6 +26,9 @@ from kguess.core import (
     renyi_entropy,
     tilted,
 )
+from kguess.guessing import CoverageVector, LossReport, SortedPmf
+from kguess.oracle import CappedSimplex, lp_feasible, project_capped_simplex
+from kguess.strategy import SubsetMixture, is_admissible
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -64,6 +67,37 @@ def test_public_names_unchanged():
         "robustness_condition", "project_capped_simplex",
         "minimize_expected_loss", "lp_feasible",
     }
+
+
+# ---------------------------------------------------------------------------
+# malformed input arrays
+# ---------------------------------------------------------------------------
+
+# Every public constructor or function that reads an array, fed a 2-entry input.
+ARRAY_INPUTS = {
+    "Pmf": (Pmf, InvalidDistributionError),
+    "JointPmf": (lambda v: JointPmf([v]), InvalidDistributionError),
+    "SortedPmf": (lambda v: SortedPmf(v, np.arange(2), 2), DomainError),
+    "CoverageVector": (lambda v: CoverageVector(v, 1), DomainError),
+    "SubsetMixture weights": (lambda v: SubsetMixture(((0,), (1,)), v), DomainError),
+    "is_admissible": (lambda v: is_admissible(v, 1), DomainError),
+    "lp_feasible": (lambda v: lp_feasible(v, 1), DomainError),
+    "project_capped_simplex": (lambda v: project_capped_simplex(v, CappedSimplex(2, 1)), DomainError),
+}
+MALFORMED = {
+    "strings": ["a", "b"],
+    "ragged": [[0.5], [0.25, 0.25]],
+    "nan": [math.nan, 0.5],
+    "inf": [math.inf, 0.5],
+}
+
+
+@pytest.mark.parametrize("bad", list(MALFORMED), ids=str)
+@pytest.mark.parametrize("name", list(ARRAY_INPUTS), ids=str)
+def test_malformed_arrays_raise_typed_errors(name, bad):
+    read, error = ARRAY_INPUTS[name]
+    with pytest.raises(error):
+        read(MALFORMED[bad])
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +351,16 @@ class TestEntropies:
         assert float(Entropy(-1e-13)) == 0.0
         with pytest.raises(KGuessError):
             Entropy(-1e-3)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1, 2, Alpha.infinity()], ids=str)
+    def test_point_mass_entropy_is_positive_zero(self, alpha):
+        value = renyi_entropy(Pmf([1.0, 0.0]), alpha).value
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_negative_zero_reads_positive_zero(self):
+        cov = CoverageVector([1.0, 0.0], 1)
+        for value in (Entropy(-0.0).value, LossReport(-0.0, 1, cov, Alpha(2), 1.0).value):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_arimoto_frozen(self):
         value = float(arimoto_conditional_entropy(JointPmf([[0.4, 0.1], [0.1, 0.4]]), 2))
