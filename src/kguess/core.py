@@ -213,10 +213,30 @@ def _descending(x: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _check_budget(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise DomainError(f"guess budget must be a positive integer, got {k!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_budget(k, what: str = "guess budget") -> int:
+    """``k`` as a positive int, or DomainError: the rule for every budget and size."""
+    if not _is_int(k) or k < 1:
+        raise DomainError(f"{what} must be a positive integer, got {k!r}")
     return int(k)
+
+
+def _check_index(i, n: int, what: str) -> int:
+    """``i`` as an int in [0, n), or DomainError: the rule for every index."""
+    if not _is_int(i) or not 0 <= i < n:
+        raise DomainError(f"{what} {i!r} outside [0, {n})")
+    return int(i)
+
+
+def _trusted(cls, **fields):
+    """An instance of ``cls`` holding ``fields`` as given, which its caller has
+    checked: the one way the library builds a value without its constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _array(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
@@ -231,6 +251,21 @@ def _array(values, ndim: int, what: str, error=DomainError) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise error(f"{what} entries must be finite")
     return arr
+
+
+def _indices(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a read-only, nonempty int64 array of ``ndim`` dimensions with
+    nonnegative entries, or DomainError: the one reader of every index array."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be an array of integers: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0 or arr.dtype.kind not in "iu":  # no bools, no floats
+        raise DomainError(f"{what} must be a nonempty {ndim}-d array of integers")
+    arr = np.array(arr, dtype=np.int64)  # a copy; uint64 past int64 turns negative
+    if (arr < 0).any():
+        raise DomainError(f"{what} entries must be nonnegative")
+    return _freeze(arr, np.int64)
 
 
 def _distribution(values, ndim: int, what: str) -> np.ndarray:
@@ -319,14 +354,12 @@ class Pmf:
 
     @classmethod
     def uniform(cls, n: int) -> "Pmf":
-        return cls(np.full(n, 1.0 / n))
+        return cls(np.full(n := _check_budget(n, "alphabet size"), 1.0 / n))
 
     @classmethod
     def point_mass(cls, n: int, index: int = 0) -> "Pmf":
-        if not 0 <= index < n:
-            raise DomainError(f"point mass index {index} outside [0, {n})")
-        p = np.zeros(n)
-        p[index] = 1.0
+        p = np.zeros(n := _check_budget(n, "alphabet size"))
+        p[_check_index(index, n, "point mass index")] = 1.0
         return cls(p)
 
 
@@ -534,9 +567,7 @@ def _joint_rows(joint: JointPmf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def conditional_pmf(joint: "JointPmf | object", y_index: int) -> Pmf:
     """Conditional distribution of X given the column ``y_index``."""
     joint = as_joint(joint)
-    m = joint.probs.shape[1]
-    if not 0 <= y_index < m:
-        raise DomainError(f"y index {y_index} outside [0, {m})")
+    y_index = _check_index(y_index, joint.probs.shape[1], "y index")
     col = joint.probs[:, y_index]
     mass = float(col.sum())
     if mass <= 0.0:

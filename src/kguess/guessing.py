@@ -36,9 +36,11 @@ from .core import (
     _check_budget,
     _descending,
     _freeze,
+    _indices,
     _joint_rows,
     _nonnegative,
     _outside_unit,
+    _trusted,
     as_alpha,
     as_joint,
     as_pmf,
@@ -72,17 +74,18 @@ class SortedPmf:
 
     def __post_init__(self) -> None:
         p = _array(self.probs, 1, "sorted pmf")
-        perm = np.asarray(self.perm, dtype=np.intp)
+        perm = _indices(self.perm, 1, "sorted pmf perm")
+        size = _check_budget(self.size, "sorted pmf size")
         if perm.shape != p.shape:
             raise DomainError("sorted pmf needs matching 1-d probs and perm")
-        if np.any(p <= 0.0):
-            raise DomainError("sorted pmf entries must be strictly positive")
-        if np.any(np.diff(p) > 0.0):
-            raise DomainError("sorted pmf entries must be nonincreasing")
-        if self.size < p.size:
-            raise DomainError("original size smaller than positive support")
+        if p[-1] <= 0.0 or np.any(np.diff(p) > 0.0):
+            raise DomainError("sorted pmf entries must be positive and nonincreasing")
+        srt = np.sort(perm)  # distinct and below size, so size covers the support
+        if srt[-1] >= size or np.any(srt[1:] == srt[:-1]):
+            raise DomainError(f"sorted pmf perm must hold distinct indices below {size}")
         object.__setattr__(self, "probs", _freeze(p))
         object.__setattr__(self, "perm", _freeze(perm, np.intp))
+        object.__setattr__(self, "size", size)
 
     @property
     def support_size(self) -> int:
@@ -97,8 +100,8 @@ class SortedPmf:
         pmf = as_pmf(pmf)
         pos = np.flatnonzero(pmf.probs > 0.0)
         # ties stay in ascending original-index order
-        order = pos[_descending(pmf.probs[pos])]
-        return cls(pmf.probs[order], order, pmf.n)
+        order = _freeze(pos[_descending(pmf.probs[pos])], np.intp)
+        return _trusted(cls, probs=_freeze(pmf.probs[order]), perm=order, size=pmf.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,11 +342,9 @@ def _log_expectations(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]
 def _report(rows: tuple[np.ndarray, ...], i: int, k: int, a: Alpha) -> LossReport:
     """LossReport of kernel row ``i``, which the kernel checked: no re-validation."""
     value, rank, t, multiplier = rows
-    coverage, report = object.__new__(CoverageVector), object.__new__(LossReport)
-    coverage.__dict__.update(t=t[i], k=k)
-    report.__dict__.update(value=float(value[i]), threshold_rank=int(rank[i]),
-                           coverage=coverage, alpha=a, multiplier=float(multiplier[i]))
-    return report
+    return _trusted(LossReport, value=float(value[i]), threshold_rank=int(rank[i]),
+                    coverage=_trusted(CoverageVector, t=t[i], k=k), alpha=a,
+                    multiplier=float(multiplier[i]))
 
 
 def threshold_rank(

@@ -59,8 +59,11 @@ class CappedSimplex:
     k: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise DomainError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        n, k = _check_budget(self.n, "dimension"), _check_budget(self.k)
+        if k > n:
+            raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,8 @@ mixture, and evaluates the expected loss any mixture incurs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .core import (
     _check_budget,
     _descending,
     _freeze,
+    _indices,
     _outside_unit,
+    _trusted,
     as_alpha,
     as_pmf,
 )
@@ -96,36 +99,18 @@ class SubsetMixture:
     ``subsets`` is a read-only int64 array of shape ``(components, k)``:
     row ``j`` lists the symbol indices of component ``j`` (distinct within
     the row) and ``weights[j]`` its probability.  Any rectangular nested
-    sequence of indices is accepted on construction.  Weights are positive
+    sequence of integers is accepted on construction.  Weights are positive
     and sum to one within 1e-9 (renormalized exactly on construction).
     """
 
     subsets: np.ndarray
     weights: np.ndarray
-    _cum_weights: np.ndarray = field(init=False, repr=False)
-    # Filled on first use: the induced coverage, and the cumulative weights as
-    # a list for the draws.
-    _coverage: "np.ndarray | None" = field(init=False, repr=False, compare=False)
-    _cum_list: "list[float] | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            s = np.array(self.subsets, dtype=np.int64)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise DomainError(
-                "every component must hold the same number of distinct indices"
-            ) from exc
-        if s.ndim == 0 or len(s) == 0:
-            raise DomainError("mixture needs at least one component")
-        if s.ndim != 2 or s.shape[1] == 0:
-            raise DomainError(
-                "every component must hold the same number of distinct indices"
-            )
+        s = _indices(self.subsets, 2, "mixture subsets")
         srt = np.sort(s, axis=1)
         if np.any(srt[:, 1:] == srt[:, :-1]):
             raise DomainError("indices within a component must be distinct")
-        if s.min() < 0:
-            raise DomainError("subset members must be nonnegative indices")
         w = _array(self.weights, 1, "component weights")
         if w.shape != (s.shape[0],):
             raise DomainError("one weight per component required")
@@ -134,21 +119,8 @@ class SubsetMixture:
         total = float(w.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise DomainError(f"weights sum to {total!r}, outside 1 +/- {SUM_TOL}")
-        self._fill(s, w / total)
-
-    @classmethod
-    def _from_checked(cls, subsets: np.ndarray, weights: np.ndarray) -> "SubsetMixture":
-        """Mixture from parts its caller has checked: no copy, sort or re-check."""
-        mix = object.__new__(cls)
-        mix._fill(subsets, weights / weights.sum())
-        return mix
-
-    def _fill(self, subsets: np.ndarray, weights: np.ndarray) -> None:
-        object.__setattr__(self, "subsets", _freeze(subsets, np.int64))
-        object.__setattr__(self, "weights", _freeze(weights))
-        object.__setattr__(self, "_cum_weights", _freeze(np.cumsum(weights)))
-        object.__setattr__(self, "_coverage", None)
-        object.__setattr__(self, "_cum_list", None)
+        object.__setattr__(self, "subsets", s)
+        object.__setattr__(self, "weights", _freeze(w / total))
 
     @property
     def k(self) -> int:
@@ -160,24 +132,29 @@ class SubsetMixture:
 
     def coverage(self, n: int) -> np.ndarray:
         """Per-symbol inclusion probability induced over alphabet size n."""
-        return self._induced_coverage(n).copy()
+        self._check_alphabet(n)
+        return np.concatenate((self._coverage, np.zeros(n - self._coverage.size)))
 
-    def _induced_coverage(self, n: int) -> np.ndarray:
-        """``coverage(n)``, computed once per mixture and read-only."""
-        if self._coverage is not None and self._coverage.size == n:
-            return self._coverage
-        top = int(self.subsets.max())
-        if top >= n:
+    def _check_alphabet(self, n: int) -> None:
+        if (top := self._coverage.size - 1) >= n:
             raise DomainError(f"subset member {top} outside alphabet of size {n}")
+
+    @cached_property
+    def _coverage(self) -> np.ndarray:
+        """Inclusion probability of each symbol from 0 to the largest member."""
         # Adds the weights in component order, as a loop would (and as one
         # bincount over the whole mixture does), a block of rows at a time.
-        cover = np.zeros(n)
+        cover = np.zeros(int(self.subsets.max()) + 1)
         step = max(1, _COVERAGE_BLOCK // self.k)
         for start in range(0, self.n_components, step):
             block = self.subsets[start:start + step]
             np.add.at(cover, block.ravel(), np.repeat(self.weights[start:start + step], self.k))
-        object.__setattr__(self, "_coverage", _freeze(cover))
-        return self._coverage
+        return _freeze(cover)
+
+    @cached_property
+    def _cum_list(self) -> list[float]:
+        """The cumulative weights, as the list that the draws bisect."""
+        return np.cumsum(self.weights).tolist()
 
 
 def _run_lengths(bounds: np.ndarray, cells: int) -> np.ndarray:
@@ -267,9 +244,9 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     subsets = subsets[starts]  # a row per component, in C order
     # Members are distinct (checked by _run_lengths) and weights positive
     # (cells wider than _MERGE_TOL); the coverage is checked below.
-    mix = SubsetMixture._from_checked(subsets, weights)
-    induced = mix._induced_coverage(cov.t.size)
-    if float(np.max(np.abs(induced - cov.t))) > SUM_TOL:
+    mix = _trusted(SubsetMixture, subsets=_freeze(subsets, np.int64),
+                   weights=_freeze(weights / weights.sum()))
+    if float(np.max(np.abs(mix.coverage(cov.t.size) - cov.t))) > SUM_TOL:
         raise KGuessError("decomposition failed to reproduce the coverage; bug")
     return mix
 
@@ -288,13 +265,12 @@ def sample_guesses(
     Identical seeds give identical draws.
     """
     rng = np.random.default_rng(seed)
-    if mix._cum_list is None:  # built on the first draw, not with the mixture
-        object.__setattr__(mix, "_cum_list", mix._cum_weights.tolist())
-    # the same doubles as searchsorted(_cum_weights, u, side="right") compares
+    # the same doubles as searchsorted(cumsum(weights), u, side="right") compares
     j = bisect_right(mix._cum_list, rng.random())
     subset = mix.subsets[min(j, mix.n_components - 1)].tolist()
     if pmf is not None:
         p = as_pmf(pmf).probs
+        mix._check_alphabet(p.size)
         subset.sort(key=lambda i: (-p[i], i))
     return subset
 
@@ -311,7 +287,7 @@ def strategy_loss(
     """
     pmf = as_pmf(pmf)
     a = as_alpha(alpha)
-    cover = mix._induced_coverage(pmf.n)
+    cover = mix.coverage(pmf.n)
     p = pmf.probs
     pos = p > 0.0
     if a.is_inf:

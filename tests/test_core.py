@@ -100,6 +100,49 @@ def test_malformed_arrays_raise_typed_errors(name, bad):
         read(MALFORMED[bad])
 
 
+# Every reader of an index array, fed a 2-entry input that is not one.
+INDEX_INPUTS = {
+    "SortedPmf perm": lambda v: SortedPmf([0.6, 0.4], v, 2),
+    "SubsetMixture subsets": lambda v: SubsetMixture([v], [1.0]),
+}
+BAD_INDICES = {
+    "strings": ["a", "b"],
+    "ragged": [[0], [0, 1]],
+    "floats": [0.5, 1],
+    "bools": [True, False],
+    "negative": [-1, 0],
+}
+JOINT = JointPmf([[0.25, 0.25], [0.25, 0.25]])
+# Every index, size and budget argument that is not a valid integer.
+BAD_INTEGERS = {
+    **{f"{name} {bad}": (lambda read=read, v=v: read(v))
+       for name, read in INDEX_INPUTS.items() for bad, v in BAD_INDICES.items()},
+    "SortedPmf perm out of range": lambda: SortedPmf([0.6, 0.4], [5, 7], 2),
+    "SortedPmf perm repeats": lambda: SortedPmf([0.6, 0.4], [1, 1], 2),
+    "SortedPmf size 2.5": lambda: SortedPmf([0.6, 0.4], [0, 1], 2.5),
+    "SortedPmf size str": lambda: SortedPmf([0.6, 0.4], [0, 1], "a"),
+    "SortedPmf size None": lambda: SortedPmf([0.6, 0.4], [0, 1], None),
+    "CappedSimplex k 1.5": lambda: CappedSimplex(3, 1.5),
+    "CappedSimplex k True": lambda: CappedSimplex(3, True),
+    "CappedSimplex k str": lambda: CappedSimplex(3, "a"),
+    "uniform 0": lambda: Pmf.uniform(0),
+    "uniform -1": lambda: Pmf.uniform(-1),
+    "uniform 2.5": lambda: Pmf.uniform(2.5),
+    "uniform True": lambda: Pmf.uniform(True),
+    "point_mass 1.5": lambda: Pmf.point_mass(2, 1.5),
+    "point_mass True": lambda: Pmf.point_mass(2, True),
+    "conditional_pmf 1.5": lambda: conditional_pmf(JOINT, 1.5),
+    "conditional_pmf True": lambda: conditional_pmf(JOINT, True),
+    "conditional_pmf str": lambda: conditional_pmf(JOINT, "a"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INTEGERS), ids=str)
+def test_malformed_integers_raise_domain_error(case):
+    with pytest.raises(DomainError):
+        BAD_INTEGERS[case]()
+
+
 # ---------------------------------------------------------------------------
 # Alpha
 # ---------------------------------------------------------------------------

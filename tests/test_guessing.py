@@ -68,6 +68,21 @@ class TestSortedPmf:
         sp = SortedPmf.from_pmf(Pmf([0.25, 0.25, 0.25, 0.25]))
         assert sp.perm.tolist() == [0, 1, 2, 3]
 
+    def test_from_pmf_equals_validated_construction(self):
+        # from_pmf skips the constructor's checks; the public constructor on
+        # the same parts must give the same arrays, bit for bit.
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 5, 40, 3000):
+            w = rng.integers(0, 4, size=n).astype(float)
+            w[0] = 1.0
+            sp = SortedPmf.from_pmf(w / w.sum())
+            checked = SortedPmf(sp.probs, sp.perm, sp.size)
+            for name in ("probs", "perm"):
+                got, want = getattr(sp, name), getattr(checked, name)
+                assert got.dtype == want.dtype and not got.flags.writeable
+                assert np.array_equal(got, want)
+            assert sp.size == checked.size == n and sp.perm.dtype == np.intp
+
     def test_long_tied_pmf_keeps_the_stable_order(self):
         # 3000 atoms on five levels, some zero: the long-array sort path
         w = np.random.default_rng(8).integers(0, 5, size=3000).astype(float)

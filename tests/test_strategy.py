@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kguess import strategy
 from kguess.core import Alpha, DomainError, KGuessError, Pmf
 from kguess.guessing import CoverageVector, minimal_loss
 from kguess.strategy import (
@@ -277,20 +278,21 @@ class TestRealizeCoverage:
         # realize_coverage skips SubsetMixture's checks; the public constructor
         # on the same parts must give the same arrays, bit for bit.
         parts = []
-        build = SubsetMixture._from_checked.__func__
+        build = strategy._trusted
 
-        def record(cls, subsets, weights):
-            parts.append((subsets.copy(), weights.copy()))
-            return build(cls, subsets, weights)
+        def record(cls, **fields):
+            parts.append((fields["subsets"].copy(), fields["weights"].copy()))
+            return build(cls, **fields)
 
-        monkeypatch.setattr(SubsetMixture, "_from_checked", classmethod(record))
+        monkeypatch.setattr(strategy, "_trusted", record)
         for cov in mixed_coverages(np.random.default_rng(7), 300):
             mix = realize_coverage(cov)
             checked = SubsetMixture(*parts.pop())
-            for name in ("subsets", "weights", "_cum_weights"):
+            for name in ("subsets", "weights"):
                 got, want = getattr(mix, name), getattr(checked, name)
                 assert got.dtype == want.dtype and not got.flags.writeable
                 assert np.array_equal(got, want)
+            assert mix._cum_list == checked._cum_list
 
     @given(
         st.integers(min_value=2, max_value=400),
@@ -378,7 +380,7 @@ class TestSampleGuesses:
         rng = np.random.default_rng(29)
         for cov in mixed_coverages(rng, 60):
             mix = realize_coverage(cov)
-            cums = mix._cum_weights
+            cums = np.cumsum(mix.weights)
             us = np.concatenate(([0.0], cums, np.nextafter(cums, 0.0), rng.random(8)))
             for u in us.tolist():
                 j = min(int(np.searchsorted(cums, u, side="right")), mix.n_components - 1)
@@ -388,6 +390,16 @@ class TestSampleGuesses:
         pmf = Pmf([0.1, 0.2, 0.7])
         mix = SubsetMixture(((0, 1, 2),), (1.0,))
         assert sample_guesses(mix, 1, pmf=pmf) == [2, 1, 0]
+
+    def test_short_pmf_raises_like_coverage(self):
+        mix = SubsetMixture([[0, 5]], [1.0])
+        for _ in range(2):  # the first draw finds the bound, the second reads it
+            with pytest.raises(DomainError) as got:
+                sample_guesses(mix, 1, pmf=[0.5, 0.5])
+            assert str(got.value) == "subset member 5 outside alphabet of size 2"
+        with pytest.raises(DomainError, match=str(got.value)):
+            mix.coverage(2)
+        assert sample_guesses(mix, 1, pmf=[0.1] * 5 + [0.5]) == [5, 0]
 
 
 # ---------------------------------------------------------------------------
