@@ -119,10 +119,6 @@ class Alpha:
     def is_inf(self) -> bool:
         return math.isinf(self.value)
 
-    @property
-    def is_finite(self) -> bool:
-        return not math.isinf(self.value)
-
     @classmethod
     def one(cls) -> "Alpha":
         return cls(1.0)
@@ -455,25 +451,46 @@ def alpha_loss(p: float, alpha: "Alpha | float | str") -> float:
     Returns
     -------
     float
-        The loss, nonincreasing in ``p``.  At p = 0 this is +inf for
-        orders <= 1 and the finite ceiling a / (a - 1) for orders > 1.
+        The loss, nonincreasing in ``p``.  The shared formula of the loss
+        family gives the edge cases: at p = 0 the loss is +inf for orders
+        <= 1 and the finite ceiling a / (a - 1) for orders > 1, and a loss
+        beyond float range (tiny p at tiny orders) is +inf.
     """
     a = as_alpha(alpha)
     if math.isnan(p) or p < -BOUND_SLACK or p > 1.0 + BOUND_SLACK:
         raise DomainError(f"probability {p!r} outside [0, 1]")
     p = min(max(float(p), 0.0), 1.0)
-    if a.is_inf:
-        return 1.0 - p
+    return float(_losses(np.array([math.log(p) if p > 0.0 else -math.inf]), a)[0])
+
+
+def _losses(y: np.ndarray, a: Alpha) -> np.ndarray:
+    """The loss of each coverage t, given ``y`` = ln t, written over ``y``: the
+    one home of the loss formula.
+
+    Order one gives -y, and every other order -expm1(b * y) / b, with
+    b = (a - 1) / a at finite orders and b = 1 (so 1 - t) at order infinity;
+    expm1 keeps orders and coverages near one accurate.  At t = 0 the
+    loss is +inf at orders up to one and the ceiling 1 / b above.  A loss
+    beyond float range is +inf, with no numpy warning.
+    """
     if a.is_one:
-        return math.inf if p == 0.0 else -math.log(p)
-    beta = (a.value - 1.0) / a.value
-    if p == 0.0:
-        return a.value / (a.value - 1.0) if a.value > 1.0 else math.inf
-    # 1/beta * (1 - p**beta), written with expm1 so orders near one stay exact
-    try:  # beta * ln p > 0 only below order one, where the loss tends to +inf
-        return -math.expm1(beta * math.log(p)) / beta
-    except OverflowError:
-        return math.inf
+        return np.negative(y, out=y)
+    beta = 1.0 if a.is_inf else (a.value - 1.0) / a.value
+    with np.errstate(over="ignore"):  # b * ln t > 0 only below order one
+        y *= beta
+        np.expm1(y, out=y)
+        y /= -beta
+    return y
+
+
+def _finite_order(alpha: "Alpha | float | str", what: str, one: bool = True) -> Alpha:
+    """``alpha`` as an Alpha, or DomainError naming the operation ``what`` when
+    the order is infinite, or one and ``one`` is False: the rule for every
+    functional defined at finite orders only."""
+    a = as_alpha(alpha)
+    if a.is_inf or (a.is_one and not one):
+        raise DomainError(f"{what} requires a finite order" + ("" if one else " other than one"))
+    return a
 
 
 def _tilt_rows(P: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -535,11 +552,7 @@ def arimoto_conditional_entropy(
     raise :class:`DomainError`.
     """
     joint = as_joint(joint)
-    a = as_alpha(alpha)
-    if a.is_one or a.is_inf:
-        raise DomainError(
-            "Arimoto conditional entropy requires a finite order other than one"
-        )
+    a = _finite_order(alpha, "Arimoto conditional entropy", one=False)
     cols = joint.probs.T[joint.probs.sum(axis=0) > 0.0]
     _, total = _tilt_rows(cols, a.value)
     # ln (sum_x P(x, y) ** a) ** (1 / a) for each column of positive mass

@@ -38,8 +38,10 @@ from .core import (
     _freeze,
     _indices,
     _joint_rows,
+    _losses,
     _nonnegative,
     _outside_unit,
+    _tilt_rows,
     _trusted,
     as_alpha,
     as_joint,
@@ -73,7 +75,7 @@ class SortedPmf:
     size: int
 
     def __post_init__(self) -> None:
-        p = _array(self.probs, 1, "sorted pmf")
+        p = _array(self.probs, 1, "sorted pmf").copy()  # so _freeze leaves the caller's writeable
         perm = _indices(self.perm, 1, "sorted pmf perm")
         size = _check_budget(self.size, "sorted pmf size")
         if perm.shape != p.shape:
@@ -90,10 +92,6 @@ class SortedPmf:
     @property
     def support_size(self) -> int:
         return int(self.probs.size)
-
-    @property
-    def dropped_zeros(self) -> int:
-        return int(self.size - self.probs.size)
 
     @classmethod
     def from_pmf(cls, pmf: "Pmf | object") -> "SortedPmf":
@@ -297,13 +295,9 @@ def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
         y[heads] = np.where(guessed, 0.0, y[heads])
         t = np.exp(y)
         y[P == 0.0] = 0.0  # zero atoms cost nothing
-        if not a.is_one:  # (t ** beta - 1) / beta, which is ln t at order one
-            beta = (a.value - 1.0) / a.value
-            y *= beta
-            np.expm1(y, out=y)
-            y /= beta
+        _losses(y, a)  # in place
         y *= P
-        value = -y.sum(axis=1)
+        value = y.sum(axis=1)
         multiplier = np.exp(lead + (log_total - log_left) / a.value)
     return value, s0 + 1, t, multiplier
 
@@ -326,8 +320,7 @@ def _log_expectations(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]
     best, log_mass = np.zeros(rows), np.empty(rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if not live.all():  # the head holds every positive atom of these rows
-            logh = np.log(H[~live, :k])
-            log_mass[~live] = np.log(np.exp(a.value * (logh - logh[:, :1])).sum(axis=1))
+            log_mass[~live] = np.log(_tilt_rows(H[~live, :k], a.value)[1])
         if live.any():
             at = slice(None) if live.all() else live  # no copies when every row is live
             h = H[at, :k]

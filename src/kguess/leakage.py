@@ -16,13 +16,12 @@ import numpy as np
 
 from .core import (
     Alpha,
-    DomainError,
     JointPmf,
     Pmf,
     _check_budget,
+    _finite_order,
     _joint_rows,
     _nonnegative,
-    as_alpha,
     as_joint,
 )
 from .guessing import _log_expectations, minimal_loss
@@ -102,9 +101,7 @@ def max_expectation(
     For a point mass it is one regardless of k; for a uniform distribution
     over n symbols it is (k / n) ** ((a - 1) / a).
     """
-    a = as_alpha(alpha)
-    if a.is_one or a.is_inf:
-        raise DomainError("max expectation requires a finite order other than one")
+    a = _finite_order(alpha, "max expectation", one=False)
     report = minimal_loss(pmf, k, a)
     beta = (a.value - 1.0) / a.value
     return 1.0 - beta * report.value
@@ -128,9 +125,7 @@ def alpha_leakage(
     (k - r + 1) ** ((a - 1) / a) times the a-norm of the tail.
     """
     joint = as_joint(joint)
-    a = as_alpha(alpha)
-    if a.is_one or a.is_inf:
-        raise DomainError("leakage requires a finite order other than one")
+    a = _finite_order(alpha, "leakage", one=False)
     k = _check_budget(k)
     best, weights, flatness = _leakage_rows(joint, k, a)
     # ln of N, summed in the log domain with the rows shifted by the largest:
@@ -154,8 +149,6 @@ def robustness_condition(
     of 1e-12.  Finite orders only.
     """
     joint = as_joint(joint)
-    a = as_alpha(alpha)
-    if a.is_inf:
-        raise DomainError("robustness condition requires a finite order")
+    a = _finite_order(alpha, "robustness condition")
     k = _check_budget(k)
     return _leakage_rows(joint, k, a)[2]

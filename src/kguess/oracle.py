@@ -34,7 +34,7 @@ from .core import (
     SizeError,
     _array,
     _check_budget,
-    as_alpha,
+    _finite_order,
     as_pmf,
 )
 
@@ -172,9 +172,7 @@ def minimize_expected_loss(
     the Lagrangian.  Neither relies on structural knowledge of the optimum.
     """
     pmf = as_pmf(pmf)
-    a = as_alpha(alpha)
-    if a.is_inf:
-        raise DomainError("numerical oracle handles finite orders only")
+    a = _finite_order(alpha, "numerical oracle")
     k = _check_budget(k)
     if not tol > 0.0:  # NaN too
         raise DomainError("tolerance must be positive")

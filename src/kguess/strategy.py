@@ -25,6 +25,7 @@ from .core import (
     _descending,
     _freeze,
     _indices,
+    _losses,
     _outside_unit,
     _trusted,
     as_alpha,
@@ -132,12 +133,15 @@ class SubsetMixture:
 
     def coverage(self, n: int) -> np.ndarray:
         """Per-symbol inclusion probability induced over alphabet size n."""
-        self._check_alphabet(n)
+        n = self._check_alphabet(n)
         return np.concatenate((self._coverage, np.zeros(n - self._coverage.size)))
 
-    def _check_alphabet(self, n: int) -> None:
+    def _check_alphabet(self, n: int) -> int:
+        """``n`` as an alphabet size that holds every member, or DomainError."""
+        n = _check_budget(n, "alphabet size")
         if (top := self._coverage.size - 1) >= n:
             raise DomainError(f"subset member {top} outside alphabet of size {n}")
+        return n
 
     @cached_property
     def _coverage(self) -> np.ndarray:
@@ -290,16 +294,6 @@ def strategy_loss(
     cover = mix.coverage(pmf.n)
     p = pmf.probs
     pos = p > 0.0
-    if a.is_inf:
-        losses = 1.0 - cover[pos]
-    elif a.is_one:
-        with np.errstate(divide="ignore"):
-            losses = -np.log(cover[pos])
-    else:
-        beta = (a.value - 1.0) / a.value
-        with np.errstate(divide="ignore"):
-            logc = np.log(cover[pos])
-        # At zero coverage beta * ln 0 is +inf below order one, giving +inf,
-        # and -inf above it, giving the ceiling 1 / beta.
-        losses = -np.expm1(beta * logc) / beta
-    return float((p[pos] * losses).sum())
+    with np.errstate(divide="ignore"):  # ln 0 is -inf
+        logc = np.log(cover[pos])
+    return float((p[pos] * _losses(logc, a)).sum())

@@ -199,6 +199,15 @@ class TestStrategy:
         assert code == 2
         assert '"pmf"' in err
 
+    def test_tiny_order_prints_an_infinite_value_without_warnings(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"kind": "pmf", "probs": [0.5, 0.3, 0.2]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["strategy", str(path), "-k", "1", "--alpha", "0.001"])
+        assert code == 0 and err == ""
+        assert '"strategy_value": "inf"' in out
+
     def test_negative_seed_is_input_error(self, capsys, files):
         argv = ["strategy", files["main"], "-k", "2", "--alpha", "2", "--seed", "-1"]
         code, out, err = run(capsys, argv)

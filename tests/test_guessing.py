@@ -83,6 +83,14 @@ class TestSortedPmf:
                 assert np.array_equal(got, want)
             assert sp.size == checked.size == n and sp.perm.dtype == np.intp
 
+    def test_leaves_the_callers_arrays_writeable(self):
+        # the constructor stores copies, as Pmf does, and freezes only those
+        probs, perm = np.array([0.6, 0.4]), np.array([1, 0])
+        sp = SortedPmf(probs, perm, 2)
+        assert probs.flags.writeable and perm.flags.writeable
+        probs[:], perm[:] = 0.5, 0
+        assert sp.probs.tolist() == [0.6, 0.4] and sp.perm.tolist() == [1, 0]
+
     def test_long_tied_pmf_keeps_the_stable_order(self):
         # 3000 atoms on five levels, some zero: the long-array sort path
         w = np.random.default_rng(8).integers(0, 5, size=3000).astype(float)

@@ -15,9 +15,11 @@ from kguess.core import (
     JointPmf,
     Pmf,
     _joint_rows,
+    arimoto_conditional_entropy,
     as_alpha,
     as_joint,
     conditional_pmf,
+    renyi_entropy,
     tilted,
 )
 from kguess.guessing import _solve_rows, minimal_loss, minimal_loss_conditional
@@ -150,6 +152,23 @@ class TestAlphaLeakage:
             value = alpha_leakage(P, 1, alpha).value
             assert math.isfinite(value) and value > 0.0
             assert value == pytest.approx(alpha / (alpha - 1.0) * ratio, rel=1e-9)
+
+    def test_single_guess_is_arimoto_mutual_information(self):
+        # At k = 1 the leakage is Arimoto's mutual information of order a:
+        # the Renyi entropy of X less the Arimoto conditional entropy.  Both
+        # sides scale ln sums by a / (a - 1), which costs digits near order
+        # one, so the orders stay at least 0.1 away from it.
+        rng = np.random.default_rng(2108)
+        for trial in range(60):
+            n_x, n_y = rng.integers(2, 12, size=2)
+            P = rng.dirichlet(np.full(n_x * n_y, 0.6)).reshape(n_x, n_y)
+            if trial % 3 == 0:
+                P[:, rng.integers(n_y)] = 0.0  # a column of zero mass
+            joint = JointPmf(P / P.sum())
+            for alpha in (1e-3, 0.01, 0.1, 0.5, 0.9, 1.1, 2.0, 10.0, 100.0, 1e3):
+                identity = (renyi_entropy(joint.marginal_x(), alpha).value
+                            - arimoto_conditional_entropy(joint, alpha).value)
+                assert abs(alpha_leakage(joint, 1, alpha).value - identity) <= 1e-12
 
     def test_exponents_match_linear_formula(self):
         # the log-domain exponents agree with ln of the linear best

@@ -175,6 +175,13 @@ class TestSubsetMixture:
         assert mix.k == 2
         assert mix.n_components == 2
 
+    @pytest.mark.parametrize("n", [2.5, "3", True, None, 0, -1])
+    def test_coverage_reads_the_alphabet_size_as_a_budget(self, n):
+        mix = SubsetMixture(((0, 1),), (1.0,))
+        with pytest.raises(DomainError, match="alphabet size must be a positive integer"):
+            mix.coverage(n)
+        assert mix.coverage(np.int64(3)).tolist() == [1.0, 1.0, 0.0]
+
     def test_coverage_matches_repeat_bincount(self):
         # Summed a block of rows at a time; the bincount of the whole mixture
         # is the reference.  The large mixture spans several blocks.
@@ -430,6 +437,12 @@ class TestStrategyLoss:
         mix = SubsetMixture(((0,),), (1.0,))
         # the uncovered symbol contributes its mass times the loss ceiling
         assert strategy_loss(mix, Pmf([0.6, 0.4]), 2) == pytest.approx(0.8)
+
+    def test_loss_beyond_float_range_is_infinite(self):
+        # beta = -999 at order 0.001: the rarely guessed symbol's loss
+        # -expm1(beta * ln 1e-5) / beta overflows, silently, to +inf
+        mix = SubsetMixture([[0], [1]], [1 - 1e-5, 1e-5])
+        assert strategy_loss(mix, [0.5, 0.5], 0.001) == math.inf
 
     def test_members_must_index_the_pmf(self):
         mix = SubsetMixture(((0, 5),), (1.0,))
