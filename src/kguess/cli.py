@@ -444,9 +444,9 @@ def _cmd_check_admissible(args: argparse.Namespace) -> int:
     if args.lp:
         feasibility = lp_feasible(t, args.k)
         lp_doc: dict[str, Any] = {"feasible": feasibility.feasible}
-        if feasibility.feasible and feasibility.witness is not None:
+        if feasibility.feasible:
             lp_doc["witness_components"] = len(feasibility.witness)
-        if not feasibility.feasible and feasibility.certificate is not None:
+        else:
             lp_doc["certificate"] = [float(y) for y in feasibility.certificate]
             lp_doc["certificate_valid"] = feasibility.certificate_valid
         outputs["lp"] = lp_doc

@@ -35,6 +35,7 @@ from .core import (
     _array,
     _check_budget,
     _finite_order,
+    _freeze,
     as_pmf,
 )
 
@@ -164,12 +165,14 @@ def minimize_expected_loss(
 
     Notes
     -----
-    Descent is monotone by construction (backtracking halves the step until
-    the objective decreases), starting from the interior point k/n.  The
-    stopping certificate is the smaller of two convexity bounds: the
-    linearization gap against the best vertex (unit coverage on the k most
-    attractive coordinates) and the weak-duality floor from box-minimizing
-    the Lagrangian.  Neither relies on structural knowledge of the optimum.
+    Descent starts from the interior point k/n and backtracks each step by
+    halving until the objective falls strictly, or stays within 4 ulp of it
+    while the certificate shrinks (the tie rule for objective differences
+    below float resolution).  The stopping certificate is the smaller of two
+    convexity bounds: the linearization gap against the best vertex (unit
+    coverage on the k most attractive coordinates) and the weak-duality floor
+    from box-minimizing the Lagrangian.  Neither relies on structural
+    knowledge of the optimum.
     """
     pmf = as_pmf(pmf)
     a = _finite_order(alpha, "numerical oracle")
@@ -184,9 +187,11 @@ def minimize_expected_loss(
     p = pmf.probs[pos]
     n = p.size
     av = a.value
-    # iterates are kept above a small floor so t ** (-1/a) stays finite;
-    # the floor must sit well below k/n or it would distort the problem
-    floor = 1e-18 if av >= 1.0 else 10.0 ** (-250.0 * av)
+    # iterates are kept above a floor so t ** (-1/a) stays finite; it must sit
+    # well below k/n or it would distort the problem, and not below 1e-18, or
+    # a coordinate whose tiny atom sinks to it gets a gradient that rejects
+    # every step
+    floor = max(1e-18, 10.0 ** (-250.0 * av))
     if floor >= 0.25 * k / n:
         raise DomainError(
             f"order {av:g} is too small for a float64 descent oracle at "
@@ -195,121 +200,83 @@ def minimize_expected_loss(
 
     beta = 0.0 if a.is_one else (av - 1.0) / av
 
-    if a.is_one:
-        def objective(t: np.ndarray) -> float:
-            return -float(np.dot(p, np.log(t)))
-    else:
-        def objective(t: np.ndarray) -> float:
-            return -float(np.dot(p, np.expm1(beta * np.log(t)))) / beta
+    def value(ln_t: np.ndarray) -> float:
+        """The objective at t, given ln t."""
+        if beta == 0.0:
+            return -float(np.dot(p, ln_t))
+        return -float(np.dot(p, np.expm1(beta * ln_t))) / beta
 
     def gradient(t: np.ndarray) -> np.ndarray:
         return -p * t ** (-1.0 / av)
 
+    # Weak-duality floor under the constrained minimum: for any lam > 0,
+    # minimizing f(s) + lam * (sum(s) - k) over the unit box splits per
+    # coordinate, each 1-d minimizer at min(1, (p_i / lam) ** a).  Bisection
+    # picks the lam whose box minimizer spends the budget, which makes the
+    # bound tight, but any lam yields a valid floor.
     ln_p = np.log(p)
-
-    def _piece_values(ln_s: np.ndarray) -> np.ndarray:
-        if beta == 0.0:
-            return -p * ln_s
-        return -(p / beta) * np.expm1(beta * ln_s)
-
-    def _dual_floor() -> float:
-        """Weak-duality lower bound on the constrained minimum.
-
-        For any multiplier lam > 0, minimizing f(s) + lam * (sum(s) - k)
-        over the unit box splits per coordinate; elementary calculus puts
-        each 1-d minimizer at min(1, (p_i / lam) ** a).  Bisection picks
-        the lam whose box minimizer spends the budget, which makes the
-        bound tight, but any lam yields a valid floor.
-        """
-        lo = math.log(float(-np.partition(-p, k - 1)[k - 1]))
-        hi = math.log(float(p.max())) + math.log(n / k) / av
-        if hi <= lo:
-            hi = lo + 1e-9
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:  # the bracket is two adjacent floats
-                break
-            spent = float(np.exp(np.minimum(av * (ln_p - mid), 0.0)).sum())
-            if spent >= k:
-                lo = mid
-            else:
-                hi = mid
-        lam = math.exp(0.5 * (lo + hi))
-        ln_s = np.minimum(av * (ln_p - math.log(lam)), 0.0)
-        spent = float(np.exp(ln_s).sum())
-        return float(_piece_values(ln_s).sum()) + lam * (spent - k)
-
-    dual_floor: float | None = None
+    lo = math.log(float(-np.partition(-p, k - 1)[k - 1]))
+    hi = math.log(float(p.max())) + math.log(n / k) / av
+    if hi <= lo:
+        hi = lo + 1e-9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # the bracket is two adjacent floats
+            break
+        spent = float(np.exp(np.minimum(av * (ln_p - mid), 0.0)).sum())
+        if spent >= k:
+            lo = mid
+        else:
+            hi = mid
+    lam = math.exp(0.5 * (lo + hi))
+    ln_s = np.minimum(av * (ln_p - math.log(lam)), 0.0)
+    dual_floor = value(ln_s) + lam * (float(np.exp(ln_s).sum()) - k)
 
     def certified_gap(t: np.ndarray, f_t: float, g: np.ndarray) -> float:
-        """Upper bound on f(t) - min f, from convexity alone.
-
-        The plain linearization gap (minimized over the feasible set by
-        loading the k smallest gradient coordinates) certifies well in the
-        interior but turns loose when optimal coordinates sit near zero,
-        so the duality floor backs it up.
-        """
-        nonlocal dual_floor
+        """Upper bound on f(t) - min f, from convexity alone: the
+        linearization gap against the best vertex, tight in the interior, or
+        the distance to the dual floor, tight when optima sit near zero."""
         linear = float(np.dot(g, t) - np.partition(g, k - 1)[:k].sum())
-        if linear <= 0.0:
-            return max(linear, 0.0)
-        if dual_floor is None:
-            dual_floor = _dual_floor()
-        return min(linear, max(f_t - dual_floor, 0.0))
+        return max(min(linear, f_t - dual_floor), 0.0)
 
     t = np.full(n, k / n)
-    f_t = objective(t)
-    gap = certified_gap(t, f_t, gradient(t))
+    f_t, g = value(np.log(t)), gradient(t)
+    gap = certified_gap(t, f_t, g)
     step = 1.0
     iteration = 0
     for iteration in range(1, max_iter + 1):
         if gap <= tol:
             break
-        g = gradient(t)
         # below order one the power overflows to inf near the floor; the clip
         # caps it
         with np.errstate(over="ignore"):
             curvature = np.clip(p * (1.0 / av) * t ** (-1.0 - 1.0 / av), 1e-8, 1e18)
-
-        def try_steps(candidate_at) -> bool:
-            """Backtracking line search over one direction family."""
-            nonlocal t, f_t, gap, step
-            size = 1.0
-            for _ in range(60):
-                cand = np.maximum(candidate_at(size), floor)
-                f_cand = objective(cand)
-                # monotone acceptance; once objective differences fall
-                # below float resolution (a few ulps), a strictly
-                # shrinking certificate breaks the tie
-                slack = 4.0 * np.finfo(np.float64).eps * max(1.0, abs(f_t))
-                if f_cand < f_t:
-                    accept = True
-                elif f_cand <= f_t + slack:
-                    accept = certified_gap(cand, f_cand, gradient(cand)) < gap
-                else:
-                    accept = False
-                if accept:
-                    t, f_t = cand, f_cand
-                    gap = certified_gap(t, f_t, gradient(t))
-                    return True
-                size *= 0.5
-            return False
-
         # preconditioned first; where the curvature clip saturates (floored
         # coordinates) that move degenerates, so two scale-free directions
         # back it up before the loop may declare a stall
         scale = max(1.0, float(np.max(np.abs(g))))
         vertex = np.zeros(n)
         vertex[np.argpartition(g, k - 1)[:k]] = 1.0
-        moved = (
-            try_steps(
-                lambda s: _project(t - step * s * g / curvature, k, weights=curvature)
-            )
-            or try_steps(lambda s: _project(t - s * g / scale, k))
-            or try_steps(lambda s: t + s * (vertex - t))
+        directions = (
+            lambda s: _project(t - step * s * g / curvature, k, weights=curvature),
+            lambda s: _project(t - s * g / scale, k),
+            lambda s: t + s * (vertex - t),
         )
-        if moved:
-            step = min(step * 2.0, 1.0)
+        # each direction backtracks by halving, 60 times at most; a step must
+        # lower the objective, or, within 4 ulp of it (below float resolution),
+        # strictly shrink the certificate
+        slack = 4.0 * np.finfo(np.float64).eps * max(1.0, abs(f_t))
+        candidates = (np.maximum(d(0.5**h), floor) for d in directions for h in range(60))
+        for cand in candidates:
+            f_cand = value(np.log(cand))
+            if not f_cand <= f_t + slack:
+                continue
+            g_cand = gradient(cand)
+            gap_cand = certified_gap(cand, f_cand, g_cand)
+            if f_cand < f_t or gap_cand < gap:
+                t, f_t, g, gap = cand, f_cand, g_cand, gap_cand
+                step = min(step * 2.0, 1.0)
+                break
         else:
             # stationary at float resolution; the gap decides the verdict
             break
@@ -320,8 +287,7 @@ def minimize_expected_loss(
 
     t_full = np.zeros(pmf.n)
     t_full[pos] = t
-    t_full.flags.writeable = False
-    return OracleSolution(value=f_t, t=t_full, gap=gap, iterations=iteration)
+    return OracleSolution(value=f_t, t=_freeze(t_full), gap=gap, iterations=iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +345,17 @@ def _first_negative_subset(c: list[int], k: int) -> tuple[int, ...] | None:
     return tuple(subset)
 
 
-def _subset_rank(subset: tuple[int, ...], n: int) -> int:
-    """Position of a sorted k-subset in ``itertools.combinations(range(n), k)``
-    order (combinatorial number system)."""
-    k = len(subset)
-    return math.comb(n, k) - 1 - sum(
-        math.comb(n - 1 - s, k - p) for p, s in enumerate(subset)
-    )
-
-
 def _phase_one(
     b: list[int], k: int
-) -> tuple[bool, int, list[int], list[tuple[int, int]], dict[int, tuple[int, ...]], int]:
+) -> tuple[bool, int, list[int], list[tuple[tuple[int, ...], int]], int]:
     """Exact phase-one simplex for A q = b, q >= 0 over all k-subset columns.
 
     Columns are priced, not enumerated: Bland's rule enters the first column
     in combinations order with a negative reduced cost, which is the
     lexicographically first k-subset on which the reduced costs sum below
-    zero, and a column is known by its rank in that order.
+    zero.  A column is known by its subset: sorted k-tuples compare in
+    combinations order, and the artificial of row i, coded (m + i,), sorts
+    after every real column, so tuple comparison is Bland's order.
 
     The arithmetic is fraction-free (Edmonds 1967; Bareiss 1968).  With B
     the basis matrix of the sign-flipped system and D = |det B| > 0, the
@@ -409,35 +368,31 @@ def _phase_one(
     sum, so the pivots are those of the rational simplex.
 
     ``b`` holds the right-hand side as integers (any common scale).  Returns
-    (feasible, D, D * y, basic, columns, pivots): y is the final simplex
-    multiplier vector in the sign-flipped space, basic lists (rank, D * value)
-    pairs of the final basis restricted to real columns, columns maps each
-    rank that entered to its subset, and pivots counts the columns entered.
+    (feasible, D, D * y, basic, pivots): y is the final simplex multiplier
+    vector in the sign-flipped space, basic lists (subset, D * value) pairs
+    of the final basis restricted to real columns, and pivots counts the
+    columns entered.
     """
     m = len(b)
     sign = [1 if bi >= 0 else -1 for bi in b]
     x = [abs(bi) for bi in b]
-    # basis entries: a column rank in [0, ncols) or the artificial of row i,
-    # coded as ncols + i
-    ncols = math.comb(m, k)
-    basis = [ncols + i for i in range(m)]
+    # a basis entry is a subset, or (m + i,) for the artificial of row i;
+    # only an artificial starts at m or above
+    basis = [(m + i,) for i in range(m)]
     inv = [[int(i == j) for j in range(m)] for i in range(m)]
     denom = 1
-    columns: dict[int, tuple[int, ...]] = {}
 
     for pivots in range(200_000):
         # D * simplex multipliers for phase-one costs (1 on artificials)
         y = [0] * m
         for i in range(m):
-            if basis[i] >= ncols:
+            if basis[i][0] >= m:
                 y = [u + v for u, v in zip(y, inv[i])]
         subset = _first_negative_subset([-sign[r] * y[r] for r in range(m)], k)
         if subset is None:
-            artificial = sum(x[i] for i in range(m) if basis[i] >= ncols)
-            basic = [(basis[i], x[i]) for i in range(m) if basis[i] < ncols]
-            return artificial == 0, denom, y, basic, columns, pivots
-        entering = _subset_rank(subset, m)
-        columns[entering] = subset
+            artificial = sum(x[i] for i in range(m) if basis[i][0] >= m)
+            basic = [(basis[i], x[i]) for i in range(m) if basis[i][0] < m]
+            return artificial == 0, denom, y, basic, pivots
         d = [sum(row[r] * sign[r] for r in subset) for row in inv]
         leave = -1
         for i in range(m):
@@ -461,7 +416,7 @@ def _phase_one(
                 inv[i] = [piv * u // denom for u in inv[i]]
                 x[i] = piv * x[i] // denom
         denom = piv
-        basis[leave] = entering
+        basis[leave] = subset
     raise ConvergenceError("phase-one simplex exceeded its iteration cap")
 
 
@@ -501,18 +456,21 @@ def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
         raise SizeError(f"exact feasibility limited to n <= {_MAX_ROWS}, got {n}")
     b = _snap(arr)
     if k > n:
-        feasible = all(bi == 0 for bi in b)
-        return FeasibilityResult(feasible=feasible)
+        # no k-subset exists: zero is the empty combination, and -b separates
+        # any other vector (its subset condition holds vacuously)
+        if all(bi == 0 for bi in b):
+            return FeasibilityResult(feasible=True, witness=())
+        return FeasibilityResult(
+            feasible=False, certificate=tuple(-bi for bi in b), certificate_valid=True
+        )
 
     sign = [1 if bi >= 0 else -1 for bi in b]
-    feasible, denom, y_flipped, basic, columns, pivots = _phase_one(
-        [int(bi * _SCALE) for bi in b], k
-    )
+    feasible, denom, y_flipped, basic, pivots = _phase_one([int(bi * _SCALE) for bi in b], k)
 
     if feasible:
         witness = tuple(
-            (columns[j], Fraction(val, denom * _SCALE))
-            for j, val in sorted(basic)
+            (subset, Fraction(val, denom * _SCALE))
+            for subset, val in sorted(basic)
             if val != 0
         )
         # re-derive the right-hand side from the witness, exactly

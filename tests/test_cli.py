@@ -436,6 +436,17 @@ class TestVerify:
         assert code == 0 and payload(out)["outputs"]["checks_agree"] is True
         assert err == "" and [str(w.message) for w in caught] == []
 
+    def test_tiny_atom_just_below_order_one_is_certified(self, capsys, tmp_path):
+        # the tiny atom's coordinate sinks to the iterate floor, which must not
+        # be so low that its gradient rejects every step
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"kind": "pmf", "probs": [0.5, 0.3, 0.2, 1e-20]}))
+        code, out, _ = run(capsys, ["verify", str(path), "-k", "1", "--alpha", "0.999"])
+        assert code == 0
+        outs = payload(out)["outputs"]
+        assert outs["oracle_value"] == outs["closed_value"]
+        assert outs["oracle_gap"] <= 1e-9 and outs["checks_agree"] is True
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, files, tol):
         argv = ["verify", files["main"], "-k", "2", "--alpha", "2", "--tol", tol]
@@ -482,6 +493,12 @@ class TestCheckAdmissible:
         assert outs["lp"]["feasible"] is False
         assert outs["lp"]["certificate_valid"] is True
         assert outs["checks_agree"] is True
+
+    def test_budget_above_size_prints_the_certificate(self, capsys):
+        code, out, _ = run(capsys, ["check-admissible", "--t", "0.5,0.5", "-k", "3", "--lp"])
+        assert code == 0
+        lp = payload(out)["outputs"]["lp"]
+        assert lp == {"feasible": False, "certificate": [-0.5, -0.5], "certificate_valid": True}
 
     def test_without_lp_flag(self, capsys):
         code, out, _ = run(capsys, ["check-admissible", "--t", "1,1", "-k", "2"])

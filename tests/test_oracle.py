@@ -25,7 +25,6 @@ from kguess.oracle import (
     _first_negative_subset,
     _project,
     _snap,
-    _subset_rank,
     lp_feasible,
     minimize_expected_loss,
     project_capped_simplex,
@@ -167,6 +166,14 @@ class TestDescentOracle:
                 Pmf([0.4, 0.3, 0.2, 0.1]), 2, 2, tol=1e-300, max_iter=1
             )
 
+    def test_tiny_atom_just_below_order_one_is_certified(self):
+        # the tiny atom's coordinate sinks to the iterate floor; with a floor
+        # of 1e-250 its gradient, about 1e228, would reject every step
+        pmf = Pmf([0.5, 0.3, 0.2, 1e-20])
+        sol = minimize_expected_loss(pmf, 1, 0.999)
+        assert sol.gap <= 1e-9
+        assert sol.value == pytest.approx(minimal_loss(pmf, 1, 0.999).value, abs=1e-12)
+
     @given(pmf_raws, orders)
     @settings(max_examples=60, deadline=None)
     def test_matches_closed_form(self, raw, alpha):
@@ -179,6 +186,30 @@ class TestDescentOracle:
         denom = max(abs(closed.value), 1e-12)
         assert abs(sol.value - closed.value) / denom <= 1e-6
         assert np.max(np.abs(sol.t - closed.coverage.t)) <= 1e-4
+
+
+def test_value_lies_within_its_certified_gap():
+    """closed <= value <= closed + gap, up to rounding, on seeded pmfs with
+    zeros, ties and atoms down to 1e-30 at orders 0.05 to 100."""
+    cases = [(np.array([0.5, 0.3, 0.2, 1e-20]), 1, 0.999)]
+    rng = np.random.default_rng(20261019)
+    for i in range(300):
+        n = int(rng.integers(3, 41))
+        p = rng.dirichlet(np.full(n, float(rng.choice([0.3, 1.0, 3.0]))))
+        if i % 4 == 1:
+            p[rng.choice(n, size=n // 4 + 1, replace=False)] = 0.0
+        elif i % 4 == 2:
+            p = np.round(p * 8.0) + 1.0
+        elif i % 4 == 3:
+            p[rng.choice(n, size=n // 5 + 1, replace=False)] = 10.0 ** -rng.uniform(8.0, 30.0)
+        support = int(np.count_nonzero(p))
+        alpha = (0.05, 0.3, 0.5, 0.9, 0.999, 1.0, 1.001, 2.0, 20.0, 100.0)[i % 10]
+        cases.append((p / p.sum(), int(rng.integers(1, support)), alpha))
+    for p, k, alpha in cases:
+        closed = minimal_loss(p, k, alpha).value
+        sol = minimize_expected_loss(p, k, alpha)
+        s = max(1.0, abs(closed))
+        assert closed - 1e-13 * s <= sol.value <= closed + sol.gap + 1e-13 * s
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +249,14 @@ class TestLpFeasible:
         assert result.certificate_valid
 
     def test_budget_above_size_needs_zero(self):
-        assert lp_feasible(np.zeros(2), 3).feasible
+        # no 3-subset of two indices exists: zero is the empty combination,
+        # and -b separates anything else
+        zero = lp_feasible(np.zeros(2), 3)
+        assert zero.feasible and zero.witness == ()
         assert not lp_feasible(np.array([0.5, 0.5]), 3).feasible
+        result = lp_feasible(np.array([0.5, -0.25]), 3)
+        assert result.certificate == (Fraction(-1, 2), Fraction(1, 4))
+        assert result.certificate_valid is True
 
     def test_size_guard(self):
         with pytest.raises(SizeError):
@@ -338,7 +375,6 @@ def test_pricing_matches_enumeration():
     for n in range(1, 9):
         for k in range(1, n + 1):
             subsets = list(itertools.combinations(range(n), k))
-            assert [_subset_rank(s, n) for s in subsets] == list(range(len(subsets)))
             for _ in range(20):
                 c = rng.integers(-4, 5, n).tolist()
                 first = next((s for s in subsets if sum(c[i] for i in s) < 0), None)
@@ -376,12 +412,14 @@ def test_lp_matches_enumerating_simplex():
 
 def fraction_phase_one(b, k):
     """Reference: the phase-one simplex with a dense ``Fraction`` basis
-    inverse, pricing columns greedily like the library; it also counts the
-    columns that entered."""
+    inverse, pricing columns greedily like the library; it numbers each
+    column by its index in combinations order and counts the columns that
+    entered."""
     m = len(b)
     sign = [1 if bi >= 0 else -1 for bi in b]
     x_b = [abs(bi) for bi in b]
-    ncols = math.comb(m, k)
+    rank = {s: j for j, s in enumerate(itertools.combinations(range(m), k))}
+    ncols = len(rank)
     basis = [ncols + i for i in range(m)]
     b_inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     columns = {}
@@ -404,7 +442,7 @@ def fraction_phase_one(b, k):
             basic = [(basis[i], x_b[i]) for i in range(m) if basis[i] < ncols]
             return objective == 0, y, basic, columns, pivots
         pivots += 1
-        entering = _subset_rank(subset, m)
+        entering = rank[subset]
         columns[entering] = subset
         d = [sum(b_inv[i][r] * sign[r] for r in subset) for i in range(m)]
         ratio, leave = None, -1
