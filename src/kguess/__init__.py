@@ -12,112 +12,23 @@ guesses at a secret drawn from a known finite distribution:
   (``alpha_leakage``).
 
 Every closed form ships with an independent numerical cross-check in
-:mod:`kguess.oracle`.
+:mod:`kguess.oracle`.  Public names are those of each module's ``__all__``.
 """
 
-from .core import (
-    AdmissibilityError,
-    Alpha,
-    BudgetError,
-    ConvergenceError,
-    DegenerateColumnError,
-    DomainError,
-    Entropy,
-    InvalidDistributionError,
-    JointPmf,
-    KGuessError,
-    ParseError,
-    Pmf,
-    SizeError,
-    alpha_loss,
-    arimoto_conditional_entropy,
-    as_alpha,
-    as_joint,
-    as_pmf,
-    conditional_pmf,
-    renyi_entropy,
-    tilted,
-)
-from .guessing import (
-    CoverageVector,
-    LossReport,
-    SortedPmf,
-    minimal_loss,
-    minimal_loss_conditional,
-    optimal_coverage,
-    threshold_rank,
-)
-from .leakage import (
-    LeakageReport,
-    RobustnessResult,
-    alpha_leakage,
-    max_expectation,
-    robustness_condition,
-)
-from .oracle import (
-    CappedSimplex,
-    FeasibilityResult,
-    OracleSolution,
-    lp_feasible,
-    minimize_expected_loss,
-    project_capped_simplex,
-)
-from .strategy import (
-    Admissibility,
-    SubsetMixture,
-    is_admissible,
-    realize_coverage,
-    sample_guesses,
-    strategy_loss,
-)
+from . import core, guessing, leakage, oracle, strategy
+from .core import *  # noqa: F403
+from .guessing import *  # noqa: F403
+from .leakage import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .strategy import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Alpha",
-    "Pmf",
-    "JointPmf",
-    "Entropy",
-    "SortedPmf",
-    "CoverageVector",
-    "LossReport",
-    "SubsetMixture",
-    "Admissibility",
-    "LeakageReport",
-    "RobustnessResult",
-    "CappedSimplex",
-    "OracleSolution",
-    "FeasibilityResult",
-    "KGuessError",
-    "ParseError",
-    "InvalidDistributionError",
-    "DomainError",
-    "BudgetError",
-    "DegenerateColumnError",
-    "AdmissibilityError",
-    "SizeError",
-    "ConvergenceError",
-    "as_alpha",
-    "as_pmf",
-    "as_joint",
-    "alpha_loss",
-    "tilted",
-    "renyi_entropy",
-    "arimoto_conditional_entropy",
-    "conditional_pmf",
-    "threshold_rank",
-    "minimal_loss",
-    "optimal_coverage",
-    "minimal_loss_conditional",
-    "is_admissible",
-    "realize_coverage",
-    "sample_guesses",
-    "strategy_loss",
-    "max_expectation",
-    "alpha_leakage",
-    "robustness_condition",
-    "project_capped_simplex",
-    "minimize_expected_loss",
-    "lp_feasible",
+    *core.__all__,
+    *guessing.__all__,
+    *leakage.__all__,
+    *oracle.__all__,
+    *strategy.__all__,
 ]

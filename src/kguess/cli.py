@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    SUM_TOL,
     Alpha,
     ConvergenceError,
     DomainError,
@@ -113,13 +114,6 @@ def _kind(dist: Pmf | JointPmf) -> str:
     return "pmf" if isinstance(dist, Pmf) else "joint"
 
 
-def _require(dist: Pmf | JointPmf, kind: str, command: str) -> Any:
-    got = _kind(dist)
-    if got != kind:
-        raise ParseError(f'the {command} command needs a "{kind}" file, got "{got}"')
-    return dist
-
-
 def _precision() -> int:
     raw = os.environ.get(_PRECISION_ENV)
     if raw is None:
@@ -165,36 +159,23 @@ def _round_floats(obj: Any, digits: int) -> Any:
     return obj
 
 
-def _output(out: str | None) -> Any:
-    """The stream a command writes to: stdout, or the --out file."""
-    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
-
-
-def _emit(doc: dict[str, Any], out: str | None) -> None:
-    # Streamed, so the text is never held whole.  _round_floats has turned
-    # every non-finite float into a string, so allow_nan cannot fail midway.
-    with _output(out) as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
-
-
 def _envelope(
     command: str,
     k: int,
     outputs: dict[str, Any],
-    source: tuple[Pmf | JointPmf, str] | None = None,
-    alpha: Alpha | None = None,
+    dist: Pmf | JointPmf | None,
+    digest: str | None,
+    alpha: Alpha | None,
 ) -> dict[str, Any]:
-    """The JSON document of one query; ``source`` is the (distribution,
-    digest) pair of its input file, if it has one."""
+    """The JSON document of one query; ``dist`` and ``digest`` describe its
+    input file, if it has one."""
     doc: dict[str, Any] = {
         "command": command,
         "version": __version__,
         "k": int(k),
         "outputs": _round_floats(outputs, _precision()),
     }
-    if source is not None:
-        dist, digest = source
+    if dist is not None:
         doc["input"] = shape = {"digest": digest, "kind": _kind(dist)}
         if isinstance(dist, Pmf):
             shape["n"] = dist.n
@@ -210,16 +191,32 @@ def _envelope(
 # ---------------------------------------------------------------------------
 
 
-def _loss_scale(bits: bool, alpha: Alpha) -> float:
-    """Divisor of a loss value: ln 2 under --bits, which is rejected off order 1,
-    the one order whose loss is log-scale (an expected log loss)."""
+def _bits_scale(bits: bool, alpha: Alpha, loss: bool) -> float:
+    """Divisor of a value: ln 2 under --bits, which converts log-scale values.
+    A leakage is log-scale at every order, a loss only at order 1 (an
+    expected log loss), so --bits on a loss at any other order is rejected."""
     if not bits:
         return 1.0
-    if not alpha.is_one:
+    if loss and not alpha.is_one:
         raise ParseError(
             "--bits converts log-scale outputs; loss values are log-scale only at order 1"
         )
     return _LN2
+
+
+def _comma_list(raw: str, what: str) -> list[str]:
+    """The nonblank entries of a comma list, of which there must be one."""
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if not tokens:
+        raise ParseError(f"empty {what}")
+    return tokens
+
+
+def _checks_agree(t: np.ndarray, k: int, admissible: bool, feasible: bool) -> bool:
+    """Whether the admissibility verdict on ``t`` agrees with the exact LP's.
+    The LP decides membership in the cone of k-subset indicators, and a
+    vector is admissible when it lies in that cone and sums to k."""
+    return admissible == (feasible and abs(float(t.sum()) - k) <= SUM_TOL)
 
 
 def _loss_report_outputs(report: LossReport, scale: float) -> dict[str, Any]:
@@ -232,11 +229,8 @@ def _loss_report_outputs(report: LossReport, scale: float) -> dict[str, Any]:
     }
 
 
-def _cmd_loss(args: argparse.Namespace) -> int:
-    dist, digest = _load_distribution(args.file)
-    alpha = Alpha.from_token(args.alpha)
-    scale = _loss_scale(args.bits, alpha)
-
+def _cmd_loss(args: argparse.Namespace, dist: Pmf | JointPmf, alpha: Alpha) -> dict[str, Any]:
+    scale = _bits_scale(args.bits, alpha, loss=True)
     if isinstance(dist, Pmf):
         outputs = _loss_report_outputs(minimal_loss(dist, args.k, alpha), scale)
     else:
@@ -253,15 +247,10 @@ def _cmd_loss(args: argparse.Namespace) -> int:
         outputs = {"value": value / scale, "columns": column_docs}
     if alpha.is_one:
         outputs["unit"] = "bits" if args.bits else "nats"
-    _emit(_envelope("loss", args.k, outputs, (dist, digest), alpha), args.out)
-    return EXIT_OK
+    return outputs
 
 
-def _cmd_strategy(args: argparse.Namespace) -> int:
-    dist, digest = _load_distribution(args.file)
-    pmf: Pmf = _require(dist, "pmf", "strategy")
-    alpha = Alpha.from_token(args.alpha)
-
+def _cmd_strategy(args: argparse.Namespace, pmf: Pmf, alpha: Alpha) -> dict[str, Any]:
     report = minimal_loss(pmf, args.k, alpha)
     mixture = realize_coverage(report.coverage)
     realized = strategy_loss(mixture, pmf, alpha)
@@ -282,22 +271,17 @@ def _cmd_strategy(args: argparse.Namespace) -> int:
             guesses = [labels[i] for i in guesses]
         outputs["sample"] = guesses
         outputs["seed"] = args.seed
-    _emit(_envelope("strategy", args.k, outputs, (pmf, digest), alpha), args.out)
-    return EXIT_OK
+    return outputs
 
 
-def _cmd_leakage(args: argparse.Namespace) -> int:
-    dist, digest = _load_distribution(args.file)
-    joint: JointPmf = _require(dist, "joint", "leakage")
-    alpha = Alpha.from_token(args.alpha)
-    scale = _LN2 if args.bits else 1.0
-
+def _cmd_leakage(args: argparse.Namespace, joint: JointPmf, alpha: Alpha) -> dict[str, Any]:
+    scale = _bits_scale(args.bits, alpha, loss=False)
     report = alpha_leakage(joint, args.k, alpha)
     offender: dict[str, Any] | None = None
     if not report.robust:
         part, *where = report.robustness.location  # where is [x] or [y, x]
         offender = {"part": part, **dict(zip(("y", "x")[-len(where):], where))}
-    outputs = {
+    return {
         "value": report.value / scale,
         "numerator_exponent": report.numerator_exponent / scale,
         "denominator_exponent": report.denominator_exponent / scale,
@@ -307,8 +291,6 @@ def _cmd_leakage(args: argparse.Namespace) -> int:
         "offender": offender,
         "unit": "bits" if args.bits else "nats",
     }
-    _emit(_envelope("leakage", args.k, outputs, (joint, digest), alpha), args.out)
-    return EXIT_OK
 
 
 def _seed(raw: str) -> int:
@@ -345,49 +327,28 @@ def _parse_k_range(raw: str) -> Sequence[int]:
     return values
 
 
-def _parse_alpha_grid(raw: str) -> list[Alpha]:
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ParseError("empty order grid")
-    return [Alpha.from_token(tok) for tok in tokens]
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    dist, digest = _load_distribution(args.file)
+def _cmd_sweep(args: argparse.Namespace, dist: Pmf | JointPmf, _: None) -> list[str]:
     ks = _parse_k_range(args.k_range)
-    alphas = _parse_alpha_grid(args.alphas)
+    alphas = [Alpha.from_token(tok) for tok in _comma_list(args.alphas, "order grid")]
     digits = _precision()
-    kind = _kind(dist)
-    if kind == "pmf":
-        scales = [_loss_scale(args.bits, a) for a in alphas]
-    else:
-        scales = [_LN2 if args.bits else 1.0] * len(alphas)
+    loss = isinstance(dist, Pmf)
+    scales = [_bits_scale(args.bits, a, loss) for a in alphas]
 
     # Rows are all computed before the write, so an error leaves no partial table.
-    lines = [
-        f"# kguess sweep v{__version__}",
-        f"# input: {digest} kind={kind}",
-        "# columns: k,alpha,value,threshold_rank,robust",
-    ]
+    lines = ["# columns: k,alpha,value,threshold_rank,robust"]
     for k in ks:
         for a, scale in zip(alphas, scales):
-            if kind == "pmf":
+            if loss:
                 report = minimal_loss(dist, k, a)
                 rank, robust = report.threshold_rank, ""
             else:
                 report = alpha_leakage(dist, k, a)
                 rank, robust = "", "true" if report.robust else "false"
             lines.append(f"{k},{a},{report.value / scale:.{digits}g},{rank},{robust}")
-    with _output(args.out) as handle:
-        handle.write("\n".join(lines) + "\n")
-    return EXIT_OK
+    return lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    dist, digest = _load_distribution(args.file)
-    pmf: Pmf = _require(dist, "pmf", "verify")
-    alpha = Alpha.from_token(args.alpha)
-
+def _cmd_verify(args: argparse.Namespace, pmf: Pmf, alpha: Alpha) -> dict[str, Any]:
     report = minimal_loss(pmf, args.k, alpha)
     positive = pmf.support_size
     outputs: dict[str, Any] = {
@@ -412,27 +373,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             rel_diff=diff / max(abs(report.value), 1e-12),
             max_coverage_deviation=float(np.max(np.abs(solution.t - report.coverage.t))),
         )
-    admissible = is_admissible(report.coverage.t, report.coverage.spent)
-    feasibility = lp_feasible(report.coverage.t, report.coverage.spent)
+    t, spent = report.coverage.t, report.coverage.spent
+    admissible = is_admissible(t, spent)
+    feasibility = lp_feasible(t, spent)
     outputs["admissible"] = admissible.ok
     outputs["lp_feasible"] = feasibility.feasible
-    outputs["checks_agree"] = admissible.ok == feasibility.feasible
-    _emit(_envelope("verify", args.k, outputs, (pmf, digest), alpha), args.out)
-    return EXIT_OK
+    outputs["checks_agree"] = _checks_agree(t, spent, admissible.ok, feasibility.feasible)
+    return outputs
 
 
-def _parse_vector(raw: str) -> np.ndarray:
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ParseError("empty coverage vector")
+def _cmd_check_admissible(args: argparse.Namespace, _: None, __: None) -> dict[str, Any]:
+    tokens = _comma_list(args.t, "coverage vector")
     try:
-        return np.array([float(tok) for tok in tokens])
+        t = np.array([float(tok) for tok in tokens])
     except ValueError as exc:
         raise ParseError(f"bad coverage vector: {exc}") from None
-
-
-def _cmd_check_admissible(args: argparse.Namespace) -> int:
-    t = _parse_vector(args.t)
     verdict = is_admissible(t, args.k)
     outputs: dict[str, Any] = {"coverage": t, "admissible": verdict.ok, "violation": None}
     if not verdict.ok:
@@ -450,9 +405,8 @@ def _cmd_check_admissible(args: argparse.Namespace) -> int:
             lp_doc["certificate"] = [float(y) for y in feasibility.certificate]
             lp_doc["certificate_valid"] = feasibility.certificate_valid
         outputs["lp"] = lp_doc
-        outputs["checks_agree"] = verdict.ok == feasibility.feasible
-    _emit(_envelope("check-admissible", args.k, outputs), args.out)
-    return EXIT_OK
+        outputs["checks_agree"] = _checks_agree(t, args.k, verdict.ok, feasibility.feasible)
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -471,32 +425,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kguess {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, alpha=None, file=True, k=True):
-        """A subcommand with its input file, --out, -k and --alpha, in that order."""
+    def command(name, func, help, reads, alpha=None, k=True):
+        """A subcommand with its input file, --out, -k and --alpha, in that order;
+        ``reads`` is the kind of file it takes ("pmf", "joint" or "any"), or None."""
         p = sub.add_parser(name, help=help)
-        if file:
+        if reads is not None:
             p.add_argument("file", help='distribution file (JSON; "-" reads standard input)')
         p.add_argument("--out", help="write output to this path instead of stdout")
         if k:
             p.add_argument("-k", type=int, required=True, help="number of guesses")
         if alpha is not None:
             p.add_argument("--alpha", required=True, help=alpha)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, reads=reads)
         return p
 
-    p = command("loss", _cmd_loss, "minimal expected loss and optimal coverage",
+    p = command("loss", _cmd_loss, "minimal expected loss and optimal coverage", "any",
                 alpha='loss order (decimal, "1", or "inf")')
     p.add_argument("--bits", action="store_true", help="report order-1 losses in bits")
 
     p = command("strategy", _cmd_strategy,
-                "explicit randomized guessing strategy for the optimum", alpha="loss order")
+                "explicit randomized guessing strategy for the optimum", "pmf",
+                alpha="loss order")
     p.add_argument("--seed", type=_seed, help="also draw one guess set with this seed")
 
-    p = command("leakage", _cmd_leakage, "k-guess leakage of a joint distribution",
+    p = command("leakage", _cmd_leakage, "k-guess leakage of a joint distribution", "joint",
                 alpha="leakage order (finite, not 1)")
     p.add_argument("--bits", action="store_true", help="report in bits")
 
-    p = command("sweep", _cmd_sweep, "tabulate values over a (k, order) grid", k=False)
+    p = command("sweep", _cmd_sweep, "tabulate values over a (k, order) grid", "any",
+                k=False)
     p.add_argument(
         "--k-range", required=True, help='budgets, "1:4" (inclusive) or comma list "1,2,5"'
     )
@@ -506,13 +463,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", action="store_true", help="report in bits")
 
     p = command("verify", _cmd_verify,
-                "cross-check the closed form against the numerical oracle",
+                "cross-check the closed form against the numerical oracle", "pmf",
                 alpha="loss order (finite)")
     p.add_argument("--tol", type=float, default=1e-9, help="oracle certificate tolerance")
 
     # --t comes before -k in this command's usage line
     p = command("check-admissible", _cmd_check_admissible,
-                "test whether a coverage vector is realizable", file=False, k=False)
+                "test whether a coverage vector is realizable", None, k=False)
     p.add_argument(
         "--t", required=True, help='comma-separated coverage entries, e.g. "1,0.8,0.2"'
     )
@@ -524,13 +481,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args: argparse.Namespace) -> None:
+    """The steps every subcommand shares, in this order: read its file and
+    check the file's kind, parse --alpha, run the handler, write its result.
+
+    A handler takes the parsed flags, the distribution and the order (None
+    where the command has no file or no --alpha) and returns the outputs of
+    an envelope, or the lines of a table."""
+    dist = digest = alpha = None
+    if args.reads is not None:
+        dist, digest = _load_distribution(args.file)
+        got = _kind(dist)
+        if args.reads not in ("any", got):
+            raise ParseError(
+                f'the {args.command} command needs a "{args.reads}" file, got "{got}"'
+            )
+    if "alpha" in args:
+        alpha = Alpha.from_token(args.alpha)
+    result = args.func(args, dist, alpha)
+    if isinstance(result, dict):
+        doc = _envelope(args.command, args.k, result, dist, digest, alpha)
+        # Streamed, so the text is never held whole.  _round_floats has turned
+        # every non-finite float into a string, so allow_nan cannot fail midway.
+        chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(doc)
+    else:  # a table, under a header naming what made it and from what
+        header = [f"# kguess {args.command} v{__version__}",
+                  f"# input: {digest} kind={_kind(dist)}"]
+        chunks = ["\n".join(header + result)]
+    out = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with out as handle:
+        handle.writelines(chunks)
+        handle.write("\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return int(args.func(args))
+        _run(args)
+        return EXIT_OK
     except (ParseError, InvalidDistributionError) as exc:
         print(f"kguess: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

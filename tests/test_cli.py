@@ -214,6 +214,22 @@ class TestStrategy:
         assert code == 2 and out == ""
         assert "seed must be nonnegative" in err
 
+    def test_seed_that_is_not_an_integer_is_a_usage_error(self, capsys, files):
+        argv = ["strategy", files["main"], "-k", "2", "--alpha", "2", "--seed", "x"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: kguess strategy")
+        assert "argument --seed: invalid int value: 'x'" in err
+
+    def test_sample_is_printed_as_labels(self, capsys, tmp_path):
+        path = tmp_path / "abc.json"
+        path.write_text(json.dumps({"kind": "pmf", "probs": [0.5, 0.3, 0.2],
+                                    "labels": ["a", "b", "c"]}))
+        argv = ["strategy", str(path), "-k", "2", "--alpha", "2", "--seed", "3"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert payload(out)["outputs"]["sample"] == ["a", "b"]
+
 
 # ---------------------------------------------------------------------------
 # leakage
@@ -516,6 +532,24 @@ class TestCheckAdmissible:
         code, _, _ = run(capsys, ["check-admissible", "--t", "1,zebra", "-k", "2"])
         assert code == 2
 
+    def test_empty_vector_names_the_fault(self, capsys):
+        code, out, err = run(capsys, ["check-admissible", "--t", ",", "-k", "1"])
+        assert code == 2 and out == ""
+        assert err == "kguess: input error: empty coverage vector\n"
+
+    # The LP decides membership in the cone of k-subset indicators; these
+    # vectors lie in it but do not sum to k, so both checks reject them.
+    @pytest.mark.parametrize(
+        "t, k", [("0.3,0.3", "1"), ("0,0", "3"), ("1,1", "1"), ("0.2,0.2,0.2", "1")]
+    )
+    def test_vector_off_its_budget_is_no_disagreement(self, capsys, t, k):
+        code, out, _ = run(capsys, ["check-admissible", "--t", t, "-k", k, "--lp"])
+        assert code == 0
+        outs = payload(out)["outputs"]
+        assert outs["admissible"] is False and outs["violation"]["kind"] == "sum"
+        assert outs["lp"]["feasible"] is True
+        assert outs["checks_agree"] is True
+
 
 # ---------------------------------------------------------------------------
 # input validation and process-level behavior
@@ -608,6 +642,46 @@ class TestInputs:
         code, _, err = run(capsys, ["loss", files["main"], "-k", "2", "--alpha", "2"])
         assert code == 2
         assert "KGUESS_PRECISION" in err
+
+    def test_precision_env_out_of_range(self, capsys, files, monkeypatch):
+        monkeypatch.setenv("KGUESS_PRECISION", "18")
+        code, out, err = run(capsys, ["loss", files["main"], "-k", "2", "--alpha", "2"])
+        assert code == 2 and out == ""
+        assert err == "kguess: input error: KGUESS_PRECISION must lie in [1, 17], got 18\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"kind": ', "is not valid JSON"),
+            (b"[0.5, 0.5]", "distribution file must hold a JSON object"),
+            (b'{"kind": "pmf"}', 'distribution file is missing the "probs" field'),
+        ],
+        ids=["not-json", "array", "no-probs"],
+    )
+    def test_unusable_document_names_the_fault(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, out, err = run(capsys, ["loss", str(path), "-k", "1", "--alpha", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("kguess: input error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "k_range, message",
+        [("3:1", "empty guess budget range"), ("0:2", "guess budgets must be positive")],
+    )
+    def test_bad_budget_range_names_the_fault(self, capsys, files, k_range, message):
+        argv = ["sweep", files["main"], "--k-range", k_range, "--alphas", "2"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"kguess: input error: {message}\n"
+
+    def test_out_into_a_missing_directory_is_an_io_error(self, capsys, files, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        argv = ["loss", files["main"], "-k", "2", "--alpha", "2", "--out", str(target)]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("kguess: i/o error: ")
+        assert not target.parent.exists()
 
     @pytest.mark.parametrize(
         "doc, digest",

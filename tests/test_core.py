@@ -217,6 +217,10 @@ class TestAlphaLoss:
         # 1 / beta * (1 - p ** beta) with beta = -1 and p = 1e-320
         assert alpha_loss(1e-320, 0.5) == math.inf
 
+    def test_probability_above_one_is_domain_error(self):
+        with pytest.raises(DomainError, match="outside"):
+            alpha_loss(1.5, 2)
+
     @given(st.floats(min_value=1e-6, max_value=1.0))
     def test_continuous_through_order_one(self, p):
         base = alpha_loss(p, 1)
@@ -394,6 +398,10 @@ class TestEntropies:
         assert float(Entropy(-1e-13)) == 0.0
         with pytest.raises(KGuessError):
             Entropy(-1e-3)
+
+    def test_nan_entropy_is_an_error(self):
+        with pytest.raises(KGuessError, match="NaN"):
+            Entropy(math.nan)
 
     @pytest.mark.parametrize("alpha", [0.5, 1, 2, Alpha.infinity()], ids=str)
     def test_point_mass_entropy_is_positive_zero(self, alpha):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from kguess.core import SUM_TOL, Alpha, BudgetError, DomainError, KGuessError, P
 from kguess.guessing import (
     _PARTITION_MIN_SIZE,
     CoverageVector,
+    LossReport,
     SortedPmf,
     _head,
     _log_expectations,
@@ -67,6 +69,18 @@ class TestSortedPmf:
     def test_ties_break_by_original_index(self):
         sp = SortedPmf.from_pmf(Pmf([0.25, 0.25, 0.25, 0.25]))
         assert sp.perm.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "probs, perm, message",
+        [([0.5, 0.5], [0], "matching 1-d"), ([0.2, 0.8], [0, 1], "nonincreasing")],
+        ids=["short-perm", "ascending"],
+    )
+    def test_rejects_unsorted_or_mismatched_entries(self, probs, perm, message):
+        with pytest.raises(DomainError, match=message):
+            SortedPmf(probs, perm, 2)
+
+    def test_support_size_counts_the_positive_atoms(self):
+        assert SortedPmf.from_pmf([0.5, 0, 0.5]).support_size == 2
 
     def test_from_pmf_equals_validated_construction(self):
         # from_pmf skips the constructor's checks; the public constructor on
@@ -125,6 +139,18 @@ class TestCoverageVector:
 
     def test_numpy_integer_budget(self):
         assert CoverageVector(np.array([1.0, 0.0]), np.int64(1)).k == 1
+
+
+class TestLossReport:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threshold_rank", 0), ("threshold_rank", 3), ("multiplier", 0.0)],
+        ids=["rank-zero", "rank-above-budget", "zero-multiplier"],
+    )
+    def test_rejects_inconsistent_fields(self, field, value):
+        report = minimal_loss(MAIN_PMF, 2, 2)
+        with pytest.raises(KGuessError, match=field.replace("_", " ")):
+            dataclasses.replace(report, **{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,11 @@ class TestRobustnessCondition:
     def test_any_joint_robust_at_one(self):
         assert robustness_condition(JOINT22, 1, 2).ok
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_truth_value_is_the_verdict(self, k):
+        result = robustness_condition(JOINT22, k, 2)
+        assert bool(result) is result.ok
+
     def test_marginal_offender_located(self):
         joint = JointPmf.product(Pmf([0.9, 0.1]), Pmf([0.5, 0.5]))
         result = robustness_condition(joint, 2, 2)

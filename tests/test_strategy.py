@@ -169,6 +169,15 @@ class TestSubsetMixture:
         with pytest.raises(DomainError):
             SubsetMixture(((0, 1),), (0.5,))
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([1.0], "one weight per component"), ([1.0, 0.0], "must be positive")],
+        ids=["one-short", "zero-weight"],
+    )
+    def test_needs_one_positive_weight_per_component(self, weights, message):
+        with pytest.raises(DomainError, match=message):
+            SubsetMixture([[0, 1], [1, 2]], weights)
+
     def test_coverage(self):
         mix = SubsetMixture(((0, 1), (0, 2)), (0.8, 0.2))
         assert mix.coverage(3).tolist() == pytest.approx([1.0, 0.8, 0.2])
