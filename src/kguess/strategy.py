@@ -81,7 +81,7 @@ def is_admissible(values: "np.ndarray | object", k: int) -> Admissibility:
             ok=False,
             violation="bounds",
             index=i,
-            detail=f"entry {i} is {float(arr[i]):g}, outside [0, 1]",
+            detail=f"entry {i} is {float(arr[i])!r}, outside [0, 1]",
         )
     total = float(arr.sum())
     if abs(total - k) > SUM_TOL:
@@ -164,10 +164,10 @@ class SubsetMixture:
 def _run_lengths(bounds: np.ndarray, cells: int) -> np.ndarray:
     """Run lengths of the offset-major ranks, checked for repeated guesses.
 
-    Rank v fills the key positions from ``bounds[v-1]`` (0 for v = 0) up to
-    ``bounds[v]``, and ``bounds[-1]`` is the number of keys.  Each cell's rank
-    must grow from one whole-number window to the next, so every window of
-    positions (q, q + cells] must hold a bound: no run may be longer than
+    Rank v fills the positions from ``bounds[v-1]`` (0 for v = 0) up to
+    ``bounds[v]``, and ``bounds[-1]`` is the number of positions.  Each cell's
+    rank must grow from one whole-number window to the next, so every window
+    of positions (q, q + cells] must hold a bound: no run may be longer than
     ``cells``.
     """
     lengths = bounds.copy()
@@ -185,17 +185,16 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     each cell picks one symbol per whole-number window, which yields at most
     n distinct subsets whose weighted union reproduces the coverage exactly.
     Symbols with zero coverage never appear.  The output is deterministic:
-    cells are emitted left to right and duplicate subsets are merged.  Subsets
-    hold ``cov.spent`` symbols, fewer than ``cov.k`` when the coverage spends
-    fewer guesses (a budget above the support size).
+    cells are emitted left to right, and no two cells pick the same subset.
+    Subsets hold ``cov.spent`` symbols, fewer than ``cov.k`` when the coverage
+    spends fewer guesses (a budget above the support size).
 
-    One binary search places the cumulative sums among the k * cells window
-    keys, offset-major.  Along the keys the rank of the picked symbol steps up
-    by one at each landing position, so the mixture is one repeat of the
-    symbols by the gaps between landings, transposed to a row per cell.  The landings also
-    give the merges (adjacent cells differ only where a landing falls on the
-    later cell) and the repeated-guess check, in O(n); the coverage check
-    reads the built subsets.
+    Each cumulative sum lands, by exact arithmetic, on a position of the
+    k * cells (window, cell) pairs, offset-major.  Along those positions the
+    rank of the picked symbol steps up by one at each landing, so the mixture
+    is one repeat of the symbols by the gaps between landings, transposed to a
+    row per cell.  The landings also give the repeated-guess check, in O(n);
+    the coverage check reads the built subsets.
     """
     if not isinstance(cov, CoverageVector):
         raise DomainError("realize_coverage expects a CoverageVector")
@@ -204,52 +203,40 @@ def realize_coverage(cov: CoverageVector) -> SubsetMixture:
     order = support[_descending(cov.t[support])]
     t = np.minimum(cov.t[order], 1.0)  # the entries are positive
     t = t * (k / float(t.sum()))
-    cums = np.cumsum(t)
+    # A partial sum can round past k before the last entry; capped at k, it
+    # lands at the end like the last and cuts no cell.
+    cums = np.minimum(np.cumsum(t), float(k))
     cums[-1] = float(k)
 
-    fracs = cums - np.floor(cums)
-    fracs[fracs >= 1.0 - _MERGE_TOL] = 0.0
-    # The cell edges: 0, the sorted fractional parts and 1, each kept only if
-    # it lies more than _MERGE_TOL above the value sorted before it (1 always
-    # does, fracs being below 1 - _MERGE_TOL).  Kept edges are then more than
-    # _MERGE_TOL apart, so every cell gets a positive weight.
-    edges = np.sort(np.concatenate(([0.0], fracs, [1.0])))
+    whole = np.floor(cums)
+    fracs = cums - whole  # exact: taking off the whole part rounds nothing
+    # The cell edges: 0, the sorted fractional parts (those within _MERGE_TOL
+    # of 1 read as 0) and 1, each kept only if it lies more than _MERGE_TOL
+    # above the value sorted before it (1 always does).  Kept edges are then
+    # more than _MERGE_TOL apart, so every cell gets a positive weight.
+    cuts = np.where(fracs >= 1.0 - _MERGE_TOL, 0.0, fracs)
+    edges = np.sort(np.concatenate(([0.0], cuts, [1.0])))
     edges = edges[np.concatenate(([True], edges[1:] - edges[:-1] > _MERGE_TOL))]
     widths = edges[1:] - edges[:-1]
     mids = 0.5 * (edges[:-1] + edges[1:])
     cells = mids.size
 
-    # Cell c picks, in window j, the symbol of rank searchsorted(cums, j +
-    # mids[c], side="right") (at most the last).  Along the offset-major keys
-    # that rank is the number of cums landing at or before the key, so rank v
-    # fills the keys from the landing of cums[v-1] up to that of cums[v]; the
-    # last rank runs to the end.
-    keys = np.arange(k, dtype=np.float64)[:, None] + mids
-    bounds = np.searchsorted(keys.ravel(), cums, side="left")
-    del keys  # the largest temporary; free it before the mixture
-    bounds[-1] = k * cells
+    # Cell c picks, in window j, the symbol of rank (at most the last) equal
+    # to the number of cums at or below j + mids[c].  cums[v] lands in window
+    # floor(cums[v]), on the first cell whose midpoint is not below its
+    # fractional part, so rank v fills the offset-major positions from the
+    # landing of cums[v-1] up to that of cums[v].
+    bounds = whole.astype(np.int64) * cells + np.searchsorted(mids, fracs, side="left")
     lengths = _run_lengths(bounds, cells)
-    subsets = np.repeat(order, lengths).reshape(k, cells).T
-
-    # Equal subsets sit in adjacent cells, and cell c differs from cell c - 1
-    # exactly when a rank steps up between them: when some landing falls on c
-    # modulo cells.  Merge each run of equal cells into its first cell (the
-    # last bound, k * cells, marks cell 0).
-    changed = np.zeros(cells, dtype=bool)
-    changed[bounds % cells] = True
-    starts = np.flatnonzero(changed)
-    run = np.concatenate((starts[1:], [cells])) - starts
-    # Sum each run left to right, as a per-cell loop would; np.add.reduceat
-    # adds runs of three or more in another order.
-    weights = widths[starts]
-    for step in range(1, int(run.max())):
-        longer = run > step
-        weights[longer] += widths[starts[longer] + step]
-    subsets = subsets[starts]  # a row per component, in C order
+    # A row per cell, copied to C order (which frees the repeat before the
+    # coverage check).  Each kept edge above 0 is the exact fractional part
+    # of some cums[v] below k, strictly between the midpoints beside it, so
+    # every cell but the first takes a landing and picks a higher rank than
+    # the cell before it in that window: no two cells pick the same subset.
     # Members are distinct (checked by _run_lengths) and weights positive
     # (cells wider than _MERGE_TOL); the coverage is checked below.
-    mix = _trusted(SubsetMixture, subsets=_freeze(subsets, np.int64),
-                   weights=_freeze(weights / weights.sum()))
+    subsets = _freeze(np.repeat(order, lengths).reshape(k, cells).T, np.int64)
+    mix = _trusted(SubsetMixture, subsets=subsets, weights=_freeze(widths / widths.sum()))
     if float(np.max(np.abs(mix.coverage(cov.t.size) - cov.t))) > SUM_TOL:
         raise KGuessError("decomposition failed to reproduce the coverage; bug")
     return mix

@@ -463,6 +463,21 @@ class TestVerify:
         assert outs["oracle_value"] == outs["closed_value"]
         assert outs["oracle_gap"] <= 1e-9 and outs["checks_agree"] is True
 
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_lp_is_skipped_above_its_size_limit(self, capsys, tmp_path, n):
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"kind": "pmf", "probs": [1.0 / n] * n}))
+        code, out, _ = run(capsys, ["verify", str(path), "-k", "3", "--alpha", "2"])
+        assert code == 0
+        outs = payload(out)["outputs"]
+        assert outs["admissible"] is True and outs["oracle_skipped"] is False
+        if n <= 20:
+            assert outs["lp_feasible"] is True and outs["checks_agree"] is True
+            assert "lp_skipped" not in outs
+        else:
+            assert outs["lp_feasible"] is None and outs["checks_agree"] is None
+            assert outs["lp_skipped"] == "exact feasibility limited to n <= 20, got 21"
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tolerance_must_be_positive_and_finite(self, capsys, files, tol):
         argv = ["verify", files["main"], "-k", "2", "--alpha", "2", "--tol", tol]
@@ -547,6 +562,24 @@ class TestCheckAdmissible:
         assert code == 0
         outs = payload(out)["outputs"]
         assert outs["admissible"] is False and outs["violation"]["kind"] == "sum"
+        assert outs["lp"]["feasible"] is True
+        assert outs["checks_agree"] is True
+
+    # Entries between 1e-12 and 5e-10 outside [0, 1] fail the bounds check
+    # but snap onto the LP's 1e-9 grid inside it, where both checks accept.
+    @pytest.mark.parametrize(
+        "t, k, index",
+        [
+            ("1.00000000001,0.99999999999", "2", 0),
+            ("0.5,0.5,-0.00000000001,0.00000000001", "1", 2),
+        ],
+    )
+    def test_entry_just_outside_the_unit_interval_is_no_disagreement(self, capsys, t, k, index):
+        code, out, _ = run(capsys, ["check-admissible", "--t", t, "-k", k, "--lp"])
+        assert code == 0
+        outs = payload(out)["outputs"]
+        assert outs["admissible"] is False
+        assert outs["violation"]["kind"] == "bounds" and outs["violation"]["index"] == index
         assert outs["lp"]["feasible"] is True
         assert outs["checks_agree"] is True
 

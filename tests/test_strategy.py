@@ -54,20 +54,24 @@ def reference_realize(cov: CoverageVector) -> tuple[list[list[int]], np.ndarray]
     order = support[np.argsort(-cov.t[support], kind="stable")]
     t = np.clip(cov.t[order], 0.0, 1.0)
     t = t * (k / float(t.sum()))
-    cums = np.cumsum(t)
+    cums = np.minimum(np.cumsum(t), float(k))
     cums[-1] = float(k)
-    fracs = cums - np.floor(cums)
-    fracs[fracs >= 1.0 - 1e-12] = 0.0
-    cuts = np.unique(np.concatenate(([0.0], fracs)))
+    whole = np.floor(cums)
+    fracs = cums - whole
+    cuts = np.unique(np.concatenate(([0.0], np.where(fracs >= 1.0 - 1e-12, 0.0, fracs))))
     cuts = cuts[np.concatenate(([True], np.diff(cuts) > 1e-12))]
     edges = np.append(cuts, 1.0)
-    offsets = np.arange(k, dtype=np.float64)
+    windows = np.arange(k)
     collected: dict[tuple[int, ...], float] = {}
     for lo, hi in zip(edges[:-1], edges[1:]):
         width = hi - lo
         if width <= 1e-12:
             continue
-        ranks = np.searchsorted(cums, 0.5 * (lo + hi) + offsets, side="right")
+        # cums[v] <= j + mid, exactly: symbol v is counted from window
+        # floor(cums[v]) when its fractional part is at most mid, else from
+        # the window after
+        first = np.sort(np.where(fracs <= 0.5 * (lo + hi), whole, whole + 1.0))
+        ranks = np.searchsorted(first, windows, side="right")
         subset = tuple(int(i) for i in order[np.minimum(ranks, len(order) - 1)])
         collected[subset] = collected.get(subset, 0.0) + width
     weights = np.fromiter(collected.values(), dtype=np.float64)
@@ -144,6 +148,11 @@ class TestIsAdmissible:
         assert verdict.violation == "sum"
         assert verdict.index is None
         assert "0.9" in verdict.detail
+
+    def test_bounds_detail_shows_the_entry_exactly(self):
+        # a shortened entry could print as a value inside [0, 1]
+        verdict = is_admissible(np.array([1.00000000001, 0.99999999999]), 2)
+        assert verdict.detail == "entry 0 is 1.00000000001, outside [0, 1]"
 
     def test_bounds_reported_before_sum(self):
         verdict = is_admissible(np.array([1.2, 0.8]), 2)
@@ -336,16 +345,33 @@ class TestRealizeCoverage:
             with pytest.raises(KGuessError, match="repeated guess"):
                 _run_lengths(np.array(gapped), 4)
 
-    def test_merges_equal_adjacent_cells(self):
-        # Cuts 0.75 - 2**-39 and 0.75 bound a one-ulp cell; in the window at
-        # 8192 its midpoint key rounds onto the cut at 8192.75, so the cell
-        # picks the same subset as the next one and the two are merged.
+    def test_one_ulp_cell_is_its_own_component(self):
+        # Cuts 0.75 - 2**-39 and 0.75 bound a cell one ulp of 8192 wide:
+        # 8192 + its midpoint rounds onto the cut at 8192.75, but the exact
+        # landing still tells the cell from the next one, so it stays a
+        # component of its own and the coverage comes back exactly.
         w = 2.0**-39
         t = np.concatenate((np.ones(8192), [0.75, 0.5, 0.5 - w, 0.25 + w]))
         cov = CoverageVector(t, 8194)
         mix = realize_coverage(cov)
         subsets, weights = reference_realize(cov)
-        assert mix.n_components == 3
+        assert mix.n_components == 4
+        assert len({tuple(row) for row in mix.subsets.tolist()}) == 4
+        assert mix.subsets.tolist() == subsets
+        assert mix.weights.tolist() == weights.tolist()
+        assert np.max(np.abs(mix.coverage(t.size) - t)) <= 1e-15
+
+    def test_partial_sum_past_the_budget_cuts_no_cell(self):
+        # The running sum before the 1e-13 entry rounds one ulp (1.8e-12)
+        # past k = 8192; read as a cut, it would split the first cell into
+        # two cells that pick the same subset.
+        tail = [0.6030797192484694, 0.5343518561108214, 0.4820774335582347, 0.38049099108237455]
+        t = np.concatenate((np.ones(8190), tail, [1e-13]))
+        cov = CoverageVector(t, 8192)
+        mix = realize_coverage(cov)
+        subsets, weights = reference_realize(cov)
+        assert mix.n_components == 4
+        assert len({tuple(row) for row in mix.subsets.tolist()}) == 4
         assert mix.subsets.tolist() == subsets
         assert mix.weights.tolist() == weights.tolist()
 
