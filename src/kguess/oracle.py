@@ -17,8 +17,8 @@ over one common denominator, with rationals built only for the answer.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _SCALE = 10**9  # common denominator for exact feasibility inputs
+_EPS = float(np.finfo(np.float64).eps)
 _MAX_ROWS = 20
 
 
@@ -93,13 +94,14 @@ def _project(v: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.nda
     w = np.ones_like(v) if weights is None else weights
     winv = 1.0 / w
     top, bottom = w * (v - 1.0), w * v  # t_i is 1 up to top_i and 0 from bottom_i
-    points = np.sort(np.concatenate((top, bottom)))
+    points = np.concatenate((top, bottom))
+    points.sort()
     # The sum is nonincreasing in lam, in floating point too; it is n at the
     # first breakpoint and zero at the last, which the search takes as given.
     j, past = 0, 2 * n - 1
     while past - j > 1:
         mid = (j + past) // 2
-        if float(np.clip(v - points[mid] * winv, 0.0, 1.0).sum()) >= k:
+        if float(np.add.reduce((v - points[mid] * winv).clip(0.0, 1.0))) >= k:
             j = mid
         else:
             past = mid
@@ -111,7 +113,7 @@ def _project(v: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.nda
     lam = min(max(excess / slope, lo), hi) if slope > 0.0 else lo
     t = np.zeros(n)
     t[ones] = 1.0
-    t[free] = np.clip(v[free] - lam / w[free], 0.0, 1.0)
+    t[free] = (v[free] - lam / w[free]).clip(0.0, 1.0)
     # polish the rounding residual: spread it over the free coordinates
     # (a local refinement of the same multiplier)
     for _ in range(4):
@@ -119,9 +121,9 @@ def _project(v: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.nda
         if abs(residual) <= 1e-15 * k:
             break
         free = (t < 1.0) if residual > 0.0 else (t > 0.0)
-        if not np.any(free):
+        if not free.any():
             break
-        t[free] = np.clip(t[free] + residual * winv[free] / winv[free].sum(), 0.0, 1.0)
+        t[free] = (t[free] + residual * winv[free] / winv[free].sum()).clip(0.0, 1.0)
     return t
 
 
@@ -236,8 +238,33 @@ def minimize_expected_loss(
         """Upper bound on f(t) - min f, from convexity alone: the
         linearization gap against the best vertex, tight in the interior, or
         the distance to the dual floor, tight when optima sit near zero."""
-        linear = float(np.dot(g, t) - np.partition(g, k - 1)[:k].sum())
+        smallest = g.copy()
+        smallest.partition(k - 1)
+        linear = float(np.dot(g, t) - smallest[:k].sum())
         return max(min(linear, f_t - dual_floor), 0.0)
+
+    def moves(t: np.ndarray, g: np.ndarray, step: float):
+        """Trial points of one iteration, in the order they are tried.
+
+        Preconditioned first; where the curvature clip saturates (floored
+        coordinates) that move degenerates, so two scale-free directions
+        back it up before the loop may declare a stall.  Each backtracks by
+        halving, 60 times at most, and is built only once the one before it
+        has failed.
+        """
+        # below order one the power overflows to inf near the floor; the clip
+        # caps it
+        with np.errstate(over="ignore"):
+            curvature = (p * (1.0 / av) * t ** (-1.0 - 1.0 / av)).clip(1e-8, 1e18)
+        for h in range(60):
+            yield _project(t - step * 0.5**h * g / curvature, k, weights=curvature)
+        scale = max(1.0, float(abs(g).max()))
+        for h in range(60):
+            yield _project(t - 0.5**h * g / scale, k)
+        vertex = np.zeros(n)
+        vertex[g.argpartition(k - 1)[:k]] = 1.0
+        for h in range(60):
+            yield t + 0.5**h * (vertex - t)
 
     t = np.full(n, k / n)
     f_t, g = value(np.log(t)), gradient(t)
@@ -247,27 +274,11 @@ def minimize_expected_loss(
     for iteration in range(1, max_iter + 1):
         if gap <= tol:
             break
-        # below order one the power overflows to inf near the floor; the clip
-        # caps it
-        with np.errstate(over="ignore"):
-            curvature = np.clip(p * (1.0 / av) * t ** (-1.0 - 1.0 / av), 1e-8, 1e18)
-        # preconditioned first; where the curvature clip saturates (floored
-        # coordinates) that move degenerates, so two scale-free directions
-        # back it up before the loop may declare a stall
-        scale = max(1.0, float(np.max(np.abs(g))))
-        vertex = np.zeros(n)
-        vertex[np.argpartition(g, k - 1)[:k]] = 1.0
-        directions = (
-            lambda s: _project(t - step * s * g / curvature, k, weights=curvature),
-            lambda s: _project(t - s * g / scale, k),
-            lambda s: t + s * (vertex - t),
-        )
-        # each direction backtracks by halving, 60 times at most; a step must
-        # lower the objective, or, within 4 ulp of it (below float resolution),
-        # strictly shrink the certificate
-        slack = 4.0 * np.finfo(np.float64).eps * max(1.0, abs(f_t))
-        candidates = (np.maximum(d(0.5**h), floor) for d in directions for h in range(60))
-        for cand in candidates:
+        # a step must lower the objective, or, within 4 ulp of it (below
+        # float resolution), strictly shrink the certificate
+        slack = 4.0 * _EPS * max(1.0, abs(f_t))
+        for cand in moves(t, g, step):
+            cand = np.maximum(cand, floor)
             f_cand = value(np.log(cand))
             if not f_cand <= f_t + slack:
                 continue
@@ -320,28 +331,27 @@ class FeasibilityResult:
 def _first_negative_subset(c: list[int], k: int) -> tuple[int, ...] | None:
     """Lexicographically first k-subset S of indices with sum(c over S) < 0.
 
-    Built greedily: each next index is the smallest one whose best
-    completion (the smallest remaining entries after it) keeps the sum
-    negative.  None when even the k smallest entries sum to >= 0.
+    Built greedily: each next index i is the smallest one whose best
+    completion keeps the sum negative, the best completion being the
+    smallest entries of c[i + 1:].  One sorted list holds that remainder and
+    loses c[i + 1] each time i advances, so each of the at most n steps sums
+    at most k entries.  None when even the k smallest entries sum to >= 0.
     """
-    n = len(c)
-    # best[i][m] is the sum of the m smallest entries of c[i:]; one sorted
-    # suffix, grown from the right, serves every i
-    best = [[0]] * (n + 1)
-    suffix: list[int] = []
-    for i in range(n - 1, -1, -1):
-        bisect.insort(suffix, c[i])
-        best[i] = list(itertools.accumulate(suffix, initial=0))
-    if best[0][k] >= 0:
+    rest = sorted(c)
+    if sum(rest[:k]) >= 0:
         return None
+    del rest[bisect.bisect_left(rest, c[0])]  # rest is sorted(c[i + 1:])
     subset: list[int] = []
     total, i = 0, 0
-    for need in range(k, 0, -1):
-        while total + c[i] + best[i + 1][need - 1] >= 0:
+    for need in range(k - 1, -1, -1):
+        while total + c[i] + sum(rest[:need]) >= 0:
             i += 1
+            del rest[bisect.bisect_left(rest, c[i])]
         subset.append(i)
         total += c[i]
         i += 1
+        if need:
+            del rest[bisect.bisect_left(rest, c[i])]
     return tuple(subset)
 
 
@@ -357,43 +367,46 @@ def _phase_one(
     combinations order, and the artificial of row i, coded (m + i,), sorts
     after every real column, so tuple comparison is Bland's order.
 
-    The arithmetic is fraction-free (Edmonds 1967; Bareiss 1968).  With B
-    the basis matrix of the sign-flipped system and D = |det B| > 0, the
-    integer matrix ``inv`` holds D * B^-1 = +-adj(B) and ``x`` holds
-    D * B^-1 b.  A pivot on element d_l makes d_l the new D; the pivot row
-    keeps its integers and every other row i becomes
+    The simplex runs on the sign-flipped system diag(s) A q = |b|, s the
+    signs of b, whose artificial basis is feasible.  The arithmetic is
+    fraction-free (Edmonds 1967; Bareiss 1968).  With B the basis matrix of
+    the flipped system and D = |det B| > 0, the integer matrix ``inv`` holds
+    D * B^-1 diag(s): the flipped system's scaled inverse with column r
+    multiplied by s_r once, at the start, since every pivot is a row
+    operation.  So a column's entries d are plain sums of ``inv``'s columns
+    over its subset, and the sum of the artificial rows is D times the
+    multipliers y of A q = b itself, whose negation prices the columns.
+    ``x`` holds D * B^-1 |b|.  A pivot on element d_l makes d_l the new D;
+    the pivot row keeps its integers and every other row i becomes
     (d_l * row_i - d_i * row_l) // D, a division that is exact because the
     result is again an adjugate.  The ratio test cross-multiplies, and the
     reduced costs are scaled by D > 0, which keeps the sign of every subset
     sum, so the pivots are those of the rational simplex.
 
     ``b`` holds the right-hand side as integers (any common scale).  Returns
-    (feasible, D, D * y, basic, pivots): y is the final simplex multiplier
-    vector in the sign-flipped space, basic lists (subset, D * value) pairs
-    of the final basis restricted to real columns, and pivots counts the
-    columns entered.
+    (feasible, D, D * y, basic, pivots): basic lists (subset, D * value)
+    pairs of the final basis restricted to real columns, and pivots counts
+    the columns entered.
     """
     m = len(b)
-    sign = [1 if bi >= 0 else -1 for bi in b]
     x = [abs(bi) for bi in b]
     # a basis entry is a subset, or (m + i,) for the artificial of row i;
     # only an artificial starts at m or above
     basis = [(m + i,) for i in range(m)]
-    inv = [[int(i == j) for j in range(m)] for i in range(m)]
+    inv = [[(1 if bi >= 0 else -1) * (i == j) for j, bi in enumerate(b)] for i in range(m)]
     denom = 1
 
     for pivots in range(200_000):
         # D * simplex multipliers for phase-one costs (1 on artificials)
-        y = [0] * m
-        for i in range(m):
-            if basis[i][0] >= m:
-                y = [u + v for u, v in zip(y, inv[i])]
-        subset = _first_negative_subset([-sign[r] * y[r] for r in range(m)], k)
+        artificial_rows = [inv[i] for i in range(m) if basis[i][0] >= m]
+        y = list(map(sum, zip(*artificial_rows))) if artificial_rows else [0] * m
+        subset = _first_negative_subset([-v for v in y], k)
         if subset is None:
             artificial = sum(x[i] for i in range(m) if basis[i][0] >= m)
             basic = [(basis[i], x[i]) for i in range(m) if basis[i][0] < m]
             return artificial == 0, denom, y, basic, pivots
-        d = [sum(row[r] * sign[r] for r in subset) for row in inv]
+        pick = operator.itemgetter(*subset)
+        d = [sum(pick(row)) for row in inv] if k > 1 else list(map(pick, inv))
         leave = -1
         for i in range(m):
             if d[i] > 0 and (
@@ -444,8 +457,10 @@ def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
     not grow with C(n, k), and it pivots on integers over one common
     denominator (fraction-free, Edmonds-Bareiss), so no pivot normalizes a
     rational.  The one limit, n <= 20, bounds the number of pivots and so
-    the time: on 336 coverage and random vectors at n = 20, k = 1 to 19, the
-    slowest decision took 0.63 s (Python 3.11, one core of a 2-core host).
+    the time: on 285 coverage and random vectors at n = 20, k = 1 to 19, the
+    slowest decision (a vector with one negative entry at k = 8, 7408
+    pivots) took 0.84 s, best of 5 (Python 3.11, one core of a shared
+    2-core host).
     Under the usual normalization sum(t) = k, feasibility here coincides
     with coverage admissibility.
     """
@@ -464,8 +479,7 @@ def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
             feasible=False, certificate=tuple(-bi for bi in b), certificate_valid=True
         )
 
-    sign = [1 if bi >= 0 else -1 for bi in b]
-    feasible, denom, y_flipped, basic, pivots = _phase_one([int(bi * _SCALE) for bi in b], k)
+    feasible, denom, y_scaled, basic, pivots = _phase_one([int(bi * _SCALE) for bi in b], k)
 
     if feasible:
         witness = tuple(
@@ -482,8 +496,8 @@ def lp_feasible(t: "np.ndarray | object", k: int) -> FeasibilityResult:
             raise KGuessError("feasibility witness failed verification; bug")
         return FeasibilityResult(feasible=True, witness=witness, pivots=pivots)
 
-    # map the separating vector back through the row sign flips
-    y = [Fraction(-y_flipped[i] * sign[i], denom) for i in range(n)]
+    # the negated multipliers separate b from the cone
+    y = [Fraction(-v, denom) for v in y_scaled]
     # y . S >= 0 for every k-subset S iff the k smallest entries sum >= 0
     smallest = sorted(y)[:k]
     cert_ok = sum(smallest) >= 0 and sum(yi * bi for yi, bi in zip(y, b)) < 0

@@ -583,6 +583,33 @@ class TestCheckAdmissible:
         assert outs["lp"]["feasible"] is True
         assert outs["checks_agree"] is True
 
+    # Each sums to one grid step short of k on the LP's 1e-9 grid, which
+    # the sum slack of is_admissible accepts and no k-subset mixture
+    # reaches; how 2 - sum rounds (to at most 1e-9 for the first, just past
+    # it for the second) must not decide the verdict.
+    @pytest.mark.parametrize("t", ["1.0,0.383677553,0.380377364,0.235945082", "1,0.9999999991"])
+    def test_sum_one_grid_step_short_is_no_disagreement(self, capsys, t):
+        code, out, _ = run(capsys, ["check-admissible", "--t", t, "-k", "2", "--lp"])
+        assert code == 0
+        outs = payload(out)["outputs"]
+        assert outs["admissible"] is True
+        assert outs["lp"]["feasible"] is False and outs["lp"]["certificate_valid"] is True
+        assert outs["checks_agree"] is True
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_lp_is_skipped_above_its_size_limit(self, capsys, n):
+        t = ",".join([repr(2.0 / n)] * n)
+        code, out, _ = run(capsys, ["check-admissible", "--t", t, "-k", "2", "--lp"])
+        assert code == 0
+        outs = payload(out)["outputs"]
+        assert outs["admissible"] is True
+        if n <= 20:
+            assert outs["lp"]["feasible"] is True and outs["checks_agree"] is True
+            assert "lp_skipped" not in outs
+        else:
+            assert "lp" not in outs and outs["checks_agree"] is None
+            assert outs["lp_skipped"] == "exact feasibility limited to n <= 20, got 21"
+
 
 # ---------------------------------------------------------------------------
 # input validation and process-level behavior

@@ -120,6 +120,59 @@ def test_weighted_projection_matches_bisection():
         assert np.max(np.abs(t - bisection_projection(v, k, w))) <= 1e-9
 
 
+def probe_by_probe_projection(v: np.ndarray, k: int, weights: np.ndarray | None) -> np.ndarray:
+    """Reference: the breakpoint projection through numpy's function
+    wrappers (``np.sort``, ``np.clip``, ``np.any``), with a fresh
+    ``np.clip(...).sum()`` at each probe of the search; the library must
+    return the same bytes, since both run the same ufuncs in the same
+    order."""
+    n = v.size
+    w = np.ones_like(v) if weights is None else weights
+    winv = 1.0 / w
+    top, bottom = w * (v - 1.0), w * v
+    points = np.sort(np.concatenate((top, bottom)))
+    j, past = 0, 2 * n - 1
+    while past - j > 1:
+        mid = (j + past) // 2
+        if float(np.clip(v - points[mid] * winv, 0.0, 1.0).sum()) >= k:
+            j = mid
+        else:
+            past = mid
+    lo, hi = float(points[j]), float(points[j + 1])
+    ones = top >= hi
+    free = ~ones & (bottom > lo)
+    slope = float(winv[free].sum())
+    excess = float(v[free].sum()) + float(np.count_nonzero(ones)) - k
+    lam = min(max(excess / slope, lo), hi) if slope > 0.0 else lo
+    t = np.zeros(n)
+    t[ones] = 1.0
+    t[free] = np.clip(v[free] - lam / w[free], 0.0, 1.0)
+    for _ in range(4):
+        residual = k - float(t.sum())
+        if abs(residual) <= 1e-15 * k:
+            break
+        free = (t < 1.0) if residual > 0.0 else (t > 0.0)
+        if not np.any(free):
+            break
+        t[free] = np.clip(t[free] + residual * winv[free] / winv[free].sum(), 0.0, 1.0)
+    return t
+
+
+def test_projection_is_bit_identical_to_probe_by_probe_search():
+    # weighted and unweighted, with ties, at k = 1, k = n - 1 and between
+    rng = np.random.default_rng(20261020)
+    for case in range(1500):
+        n = 400 if case % 100 == 0 else int(rng.integers(2, 30))
+        k = (1, n - 1, int(rng.integers(1, n)))[case % 3]
+        v = rng.normal(0.5, 1.0, n) * 10.0 ** rng.uniform(-3.0, 1.0)
+        if case % 4 == 0:
+            v = np.round(v, 1)
+        w = None if case % 2 else 10.0 ** rng.uniform(-8.0, 18.0, n)
+        if w is not None and case % 5 == 0:
+            w = 10.0 ** rng.integers(-8, 19, n).astype(float)
+        assert _project(v, k, w).tobytes() == probe_by_probe_projection(v, k, w).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # minimize_expected_loss
 # ---------------------------------------------------------------------------
@@ -371,12 +424,19 @@ def enumerating_lp(t: np.ndarray, k: int):
 
 
 def test_pricing_matches_enumeration():
+    # small entries make ties and zeros; past n = 8 a third of the vectors
+    # are mostly zero and the rest spread wider
     rng = np.random.default_rng(7)
-    for n in range(1, 9):
+    for n in range(1, 12):
         for k in range(1, n + 1):
             subsets = list(itertools.combinations(range(n), k))
-            for _ in range(20):
-                c = rng.integers(-4, 5, n).tolist()
+            for trial in range(20):
+                c = rng.integers(-4, 5, n)
+                if n > 8 and trial % 3 == 0:
+                    c[rng.random(n) < 0.7] = 0
+                elif n > 8:
+                    c = rng.integers(-50, 51, n)
+                c = c.tolist()
                 first = next((s for s in subsets if sum(c[i] for i in s) < 0), None)
                 assert _first_negative_subset(c, k) == first
 
