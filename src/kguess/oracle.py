@@ -340,18 +340,16 @@ def _first_negative_subset(c: list[int], k: int) -> tuple[int, ...] | None:
     rest = sorted(c)
     if sum(rest[:k]) >= 0:
         return None
-    del rest[bisect.bisect_left(rest, c[0])]  # rest is sorted(c[i + 1:])
     subset: list[int] = []
-    total, i = 0, 0
+    total, i = 0, -1
     for need in range(k - 1, -1, -1):
-        while total + c[i] + sum(rest[:need]) >= 0:
+        while True:
             i += 1
-            del rest[bisect.bisect_left(rest, c[i])]
+            del rest[bisect.bisect_left(rest, c[i])]  # rest is sorted(c[i + 1:])
+            if total + c[i] + sum(rest[:need]) < 0:
+                break
         subset.append(i)
         total += c[i]
-        i += 1
-        if need:
-            del rest[bisect.bisect_left(rest, c[i])]
     return tuple(subset)
 
 
