@@ -136,11 +136,8 @@ class Alpha:
         Raises :class:`ParseError` for unreadable tokens and
         :class:`DomainError` for readable but out-of-range values.
         """
-        tok = token.strip().lower()
-        if tok in {"inf", "infinity"}:
-            return cls.infinity()
         try:
-            v = float(tok)
+            v = float(token)
         except ValueError as exc:
             raise ParseError(f"cannot parse alpha token {token!r}") from exc
         return cls(v)
@@ -453,34 +450,49 @@ def alpha_loss(p: float, alpha: "Alpha | float | str") -> float:
     float
         The loss, nonincreasing in ``p``.  The shared formula of the loss
         family gives the edge cases: at p = 0 the loss is +inf for orders
-        <= 1 and the finite ceiling a / (a - 1) for orders > 1, and a loss
-        beyond float range (tiny p at tiny orders) is +inf.
+        <= 1 and the finite ceiling a / (a - 1) for orders > 1.  The loss is
+        +inf only when it lies beyond float range (tiny p at tiny orders),
+        though p ** ((a - 1) / a) passes that range sooner.
     """
     a = as_alpha(alpha)
     if math.isnan(p) or p < -BOUND_SLACK or p > 1.0 + BOUND_SLACK:
         raise DomainError(f"probability {p!r} outside [0, 1]")
     p = min(max(float(p), 0.0), 1.0)
-    return float(_losses(np.array([math.log(p) if p > 0.0 else -math.inf]), a)[0])
+    y = np.array([math.log(p) if p > 0.0 else -math.inf])
+    return float(_losses(np.array([p]), a, np.ones(1), y))
 
 
-def _losses(y: np.ndarray, a: Alpha) -> np.ndarray:
-    """The loss of each coverage t, given ``y`` = ln t, written over ``y``: the
-    one home of the loss formula.
+def _losses(t: np.ndarray, a: Alpha, w: np.ndarray, y: np.ndarray | None = None):
+    """Expected loss: the sum over the last axis of w * loss(t), from
+    coverages ``t`` and weights ``w``, written over ``y`` = ln t when that is
+    given.  The one home of the loss formula; a weight of zero costs nothing.
 
-    Order one gives -y, and every other order -expm1(b * y) / b, with
-    b = (a - 1) / a at finite orders and b = 1 (so 1 - t) at order infinity;
-    expm1 keeps orders and coverages near one accurate.  At t = 0 the
-    loss is +inf at orders up to one and the ceiling 1 / b above.  A loss
-    beyond float range is +inf, with no numpy warning.
+    The loss is -ln t at order one and -expm1(b ln t) / b otherwise, with
+    b = (a - 1) / a, or b = 1 (so 1 - t) at order infinity; expm1 keeps
+    orders and coverages near one accurate.  At t = 0 it is +inf at orders up
+    to one and the ceiling 1 / b above.  A sum is +inf only beyond float
+    range, with no numpy warning: below order one, a term whose loss
+    overflowed, on a row whose sum did, is exp(ln w + b ln t - ln(-b)) - w / -b.
     """
-    if a.is_one:
-        return np.negative(y, out=y)
-    beta = 1.0 if a.is_inf else (a.value - 1.0) / a.value
-    with np.errstate(over="ignore"):  # b * ln t > 0 only below order one
-        y *= beta
-        np.expm1(y, out=y)
-        y /= -beta
-    return y
+    beta = 0.0 if a.is_one else 1.0 if a.is_inf else (a.value - 1.0) / a.value
+    with np.errstate(divide="ignore", over="ignore"):  # ln 0 is -inf
+        y = np.log(t) if y is None else y
+        y[w == 0.0] = 0.0
+        if a.is_one:
+            np.negative(y, out=y)
+        else:  # b * ln t > 0, which can overflow, only below order one
+            y *= beta
+            np.expm1(y, out=y)
+            y /= -beta
+        y *= w
+        total = y.sum(axis=-1)
+        if beta < 0.0 and (over := total == np.inf).any():
+            total, redo, w, t = np.array(total), y[over], w[over], t[over]
+            hit = redo == np.inf  # the terms that overflowed, all of positive weight
+            shift = np.log(w[hit]) - math.log(-beta)
+            redo[hit] = np.exp(shift + beta * np.log(t[hit])) - w[hit] / -beta
+            total[over] = redo.sum(axis=-1)
+    return total
 
 
 def _finite_order(alpha: "Alpha | float | str", what: str, one: bool = True) -> Alpha:

@@ -294,10 +294,7 @@ def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
         y += (log_left - log_total)[:, None]  # now ln t past the threshold
         y[heads] = np.where(guessed, 0.0, y[heads])
         t = np.exp(y)
-        y[P == 0.0] = 0.0  # zero atoms cost nothing
-        _losses(y, a)  # in place
-        y *= P
-        value = y.sum(axis=1)
+        value = _losses(t, a, P, y)  # over y
         multiplier = np.exp(lead + (log_total - log_left) / a.value)
     return value, s0 + 1, t, multiplier
 

@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     KGuessError,
     Pmf,
+    SUM_TOL,
     SizeError,
     _array,
     _check_budget,
@@ -194,11 +195,9 @@ def minimize_expected_loss(
     # a coordinate whose tiny atom sinks to it gets a gradient that rejects
     # every step
     floor = max(1e-18, 10.0 ** (-250.0 * av))
+    too_small = f"order {av:g} is too small for a float64 descent oracle at support size {n}"
     if floor >= 0.25 * k / n:
-        raise DomainError(
-            f"order {av:g} is too small for a float64 descent oracle at "
-            f"support size {n}; the gradient would overflow"
-        )
+        raise DomainError(f"{too_small}; the gradient would overflow")
 
     beta = 0.0 if a.is_one else (av - 1.0) / av
 
@@ -232,7 +231,9 @@ def minimize_expected_loss(
             hi = mid
     lam = math.exp(0.5 * (lo + hi))
     ln_s = np.minimum(av * (ln_p - math.log(lam)), 0.0)
-    dual_floor = value(ln_s) + lam * (float(np.exp(ln_s).sum()) - k)
+    with np.errstate(over="ignore"):  # below order one, a tiny s's loss can overflow
+        dual_floor = value(ln_s) + lam * (float(np.exp(ln_s).sum()) - k)
+    dual_floor = dual_floor if math.isfinite(dual_floor) else -math.inf  # +inf bounds nothing
 
     def certified_gap(t: np.ndarray, f_t: float, g: np.ndarray) -> float:
         """Upper bound on f(t) - min f, from convexity alone: the
@@ -295,6 +296,8 @@ def minimize_expected_loss(
         raise ConvergenceError(
             f"no certificate below tol after {iteration} iterations (gap {gap:.3e})"
         )
+    if abs(float(t.sum()) - k) > SUM_TOL:  # no certificate holds off the budget
+        raise DomainError(f"{too_small}; its iterate floor {floor:g} leaves the budget")
 
     t_full = np.zeros(pmf.n)
     t_full[pos] = t

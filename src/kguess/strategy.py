@@ -274,13 +274,9 @@ def strategy_loss(
     Charges each symbol the loss of its inclusion probability, weighted by
     its mass.  Symbols of positive mass that no component ever guesses make
     the result infinite for orders at most one, matching the loss at zero
-    coverage.
+    coverage; otherwise it is +inf only when it lies beyond float range.
     """
     pmf = as_pmf(pmf)
     a = as_alpha(alpha)
-    cover = mix.coverage(pmf.n)
-    p = pmf.probs
-    pos = p > 0.0
-    with np.errstate(divide="ignore"):  # ln 0 is -inf
-        logc = np.log(cover[pos])
-    return float((p[pos] * _losses(logc, a)).sum())
+    pos = pmf.probs > 0.0
+    return float(_losses(mix.coverage(pmf.n)[pos], a, pmf.probs[pos]))

@@ -80,6 +80,15 @@ class TestLoss:
         assert outs["coverage"] == pytest.approx([1.0, 0.8, 0.2], abs=1e-10)
         assert outs["guesses_spent"] == 2
 
+    def test_weighted_loss_within_float_range_prints_a_finite_value(self, capsys, tmp_path):
+        # the tiny atom's loss overflows on the way; its mass times it does not
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"kind": "pmf", "probs": [0.5, 0.5, 1e-300]}))
+        for command, field in (("loss", "value"), ("strategy", "strategy_value")):
+            code, out, err = run(capsys, [command, str(path), "-k", "1", "--alpha", "0.02"])
+            assert code == 0 and err == ""
+            assert payload(out)["outputs"][field] == pytest.approx(1.1489065792033e13, rel=1e-11)
+
     def test_round_trip_is_byte_stable(self, capsys, files):
         argv = ["loss", files["main"], "-k", "2", "--alpha", "2"]
         _, first, _ = run(capsys, argv)
@@ -407,6 +416,19 @@ class TestVerify:
         outs = payload(out)["outputs"]
         assert outs["oracle_gap"] <= 1e-6
         assert outs["checks_agree"] is True
+
+    def test_oracle_refuses_a_point_off_the_budget(self, capsys, tmp_path):
+        # the oracle's iterate floor, 1e-5 at this order, lies above the tiny
+        # atom's optimal coverage: no certificate, no warning, no NaN
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"kind": "pmf", "probs": [0.5, 0.5, 1e-300]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["verify", str(path), "-k", "1", "--alpha", "0.02"])
+        assert not caught
+        assert code in (3, 4) and out == ""
+        assert "too small for a float64 descent oracle" in err
+        assert "nan" not in err and "Warning" not in err
 
     def test_degenerate_budget_skips_oracle(self, capsys, files):
         code, out, _ = run(capsys, ["verify", files["main"], "-k", "3", "--alpha", "2"])

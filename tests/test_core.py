@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -157,6 +159,8 @@ class TestAlpha:
     def test_token_grammar(self):
         assert Alpha.from_token("inf").is_inf
         assert Alpha.from_token("INFINITY").is_inf
+        assert Alpha.from_token(" Infinity ").is_inf
+        assert Alpha.from_token("+inf").is_inf
         assert Alpha.from_token("1").is_one
         assert Alpha.from_token("2.5").value == 2.5
 
@@ -216,6 +220,15 @@ class TestAlphaLoss:
     def test_overflow_is_infinite(self):
         # 1 / beta * (1 - p ** beta) with beta = -1 and p = 1e-320
         assert alpha_loss(1e-320, 0.5) == math.inf
+
+    def test_loss_within_float_range_is_finite(self):
+        # p ** beta with beta = -49 overflows, but p ** beta / 49 does not
+        with localcontext() as ctx:
+            ctx.prec = 60
+            beta = (Decimal(0.02) - 1) / Decimal(0.02)
+            exact = (1 - (beta * Decimal(5e-7).ln()).exp()) / beta
+        assert alpha_loss(5e-7, 0.02) == pytest.approx(float(exact), rel=1e-12)
+        assert -49.0 * math.log(5e-7) > math.log(sys.float_info.max)  # t ** beta overflows
 
     def test_probability_above_one_is_domain_error(self):
         with pytest.raises(DomainError, match="outside"):

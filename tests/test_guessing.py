@@ -256,6 +256,18 @@ class TestMinimalLossExamples:
         assert report.multiplier == math.inf
         assert report.coverage.t.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_tail_sum_moves_a_rank_the_suffix_sums_passed(self):
+        # At this order the suffix sums pass rank 2, but (k - r + 1) w_r over
+        # the sum of w from r on is 1.000018, 1.000024 and 1.000018 at ranks
+        # 2, 3 and 4 (80 digits) and 1 at rank 5: the correction step moves
+        # the threshold three times, and without it coverage exceeds one.
+        p = [0.9578574779106043, 0.009589700271314333, 0.009589700271314333,
+             0.009589700271314332, 0.009589700271314328, 0.0037837210041382695]
+        report = minimal_loss(p, 5, 1e11)
+        assert report.threshold_rank == 5
+        assert report.coverage.t.max() <= 1.0
+        assert report.coverage.t.tolist() == [1.0] * 5 + [0.0]
+
     def test_budget_beyond_machine_integers(self):
         # Every budget from the support size up gives the same answer, and the
         # reports keep the budget asked for.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -212,6 +213,16 @@ class TestDescentOracle:
     def test_refuses_orders_beyond_float_range(self):
         with pytest.raises(DomainError):
             minimize_expected_loss(Pmf.uniform(200), 1, 0.01)
+
+    def test_floor_off_the_budget_is_refused(self):
+        # The loss of the dual floor's tiny s overflows, so the floor bounds
+        # nothing; and the iterate floor 1e-5 lies above the tiny atom's
+        # optimal coverage, 5.07e-7, so the floored point misses the budget
+        # and reads below the true minimum.  Neither may certify it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((DomainError, ConvergenceError)):
+                minimize_expected_loss([0.5, 0.5, 1e-300], 1, 0.02)
 
     def test_non_convergence_is_reported(self):
         with pytest.raises(ConvergenceError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -478,6 +479,24 @@ class TestStrategyLoss:
         # -expm1(beta * ln 1e-5) / beta overflows, silently, to +inf
         mix = SubsetMixture([[0], [1]], [1 - 1e-5, 1e-5])
         assert strategy_loss(mix, [0.5, 0.5], 0.001) == math.inf
+
+    def test_weighted_loss_within_float_range_is_finite(self):
+        # At order 0.02 (beta = -49) the tiny atom's loss overflows on the way,
+        # as t ** beta, though 1e-300 times it is about 6e6.  Reference: the
+        # rank-one optimum t = k p ** a / sum(p ** a), at 60 digits.
+        p, k, alpha = [0.5, 0.5, 1e-300], 1, 0.02
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a = Decimal(alpha)
+            beta = (a - 1) / a
+            w = [Decimal(x) ** a for x in p]
+            t = [k * x / sum(w) for x in w]
+            exact = float(sum(Decimal(x) * (1 - c ** beta) / beta for x, c in zip(p, t)))
+        report = minimal_loss(p, k, alpha)
+        assert report.value == pytest.approx(exact, rel=1e-12)
+        value = strategy_loss(realize_coverage(report.coverage), p, alpha)
+        assert value == pytest.approx(exact, rel=1e-12)
+        assert exact == pytest.approx(1.1489065792033e13, rel=1e-13)
 
     def test_members_must_index_the_pmf(self):
         mix = SubsetMixture(((0, 5),), (1.0,))
