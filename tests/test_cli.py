@@ -825,6 +825,47 @@ class TestInputs:
 
 
 # ---------------------------------------------------------------------------
+# envelope layout
+# ---------------------------------------------------------------------------
+
+LAYOUT_FILES = {
+    "pmf": {"kind": "pmf", "probs": [0.7, 0.2, 0.1]},
+    "uniform4": {"kind": "pmf", "probs": [0.25] * 4},
+    "tiny-order": {"kind": "pmf", "probs": [0.5, 0.3, 0.2]},
+    "labels": {"kind": "pmf", "probs": [0.4, 0.3, 0.2, 0.1],
+               "labels": ["α", "猫", "😀", 'q"\\\t']},
+    "zero-column": {"kind": "joint", "probs": [[0.5, 0.0], [0.5, 0.0]]},
+    "joint": {"kind": "joint", "probs": [[0.4, 0.1], [0.1, 0.4]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["loss", "pmf", "-k", "2", "--alpha", "2"], id="loss"),
+    pytest.param(["loss", "zero-column", "-k", "1", "--alpha", "2"], id="loss-null-column"),
+    pytest.param(["loss", "uniform4", "-k", "2", "--alpha", "1", "--bits"], id="loss-bits"),
+    pytest.param(["strategy", "labels", "-k", "2", "--alpha", "2", "--seed", "3"],
+                 id="strategy-labels-seed"),
+    pytest.param(["strategy", "tiny-order", "-k", "1", "--alpha", "0.001"], id="strategy-inf"),
+    pytest.param(["leakage", "joint", "-k", "1", "--alpha", "2"], id="leakage-robust"),
+    pytest.param(["leakage", "joint", "-k", "2", "--alpha", "2"], id="leakage-offender"),
+    pytest.param(["verify", "pmf", "-k", "2", "--alpha", "2"], id="verify-oracle"),
+    pytest.param(["verify", "pmf", "-k", "3", "--alpha", "2"], id="verify-skipped"),
+    pytest.param(["check-admissible", "--t", "1,0.8,0.2", "-k", "2"], id="check"),
+    pytest.param(["check-admissible", "--t", "1,0.8,0.2", "-k", "2", "--lp"], id="check-lp"),
+    pytest.param(["check-admissible", "--t", "0.5,0.5", "-k", "3", "--lp"],
+                 id="check-certificate"),
+])
+def test_envelope_reserializes_byte_for_byte(capsys, tmp_path, argv):
+    if argv[1] in LAYOUT_FILES:
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(LAYOUT_FILES[argv[1]]))
+        argv = [argv[0], str(path), *argv[2:]]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+# ---------------------------------------------------------------------------
 # generated documents and flags
 # ---------------------------------------------------------------------------
 
