@@ -12,7 +12,10 @@ oracle fails to certify convergence.
 Every float in an envelope is rounded to a fixed number of significant
 digits before serialization (12 by default, override with the
 KGUESS_PRECISION environment variable), so re-serializing a parsed
-envelope reproduces it byte for byte.
+envelope reproduces it byte for byte: an envelope is exactly
+``json.dumps(envelope, indent=2, sort_keys=True)`` of itself.  The writer
+streams that text, with each flat list of numbers or of strings (a coverage
+or weight vector, a subset row) formatted and written as one chunk.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -150,13 +154,71 @@ def _round_floats(obj: Any, digits: int) -> Any:
         return int(obj)
     if isinstance(obj, dict):
         return {key: _round_floats(val, digits) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(val, digits) for val in obj]
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind in "biu":
             return obj.tolist()
-        return [_round_floats(val, digits) for val in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        # A flat list of strings and ints, or of finite floats, is taken whole.
+        kinds = set(map(type, obj))
+        if kinds <= {str, int}:
+            return list(obj)
+        if kinds == {float} and all(map(math.isfinite, obj)):
+            return list(map(float, map(f"{{:.{digits}g}}".format, obj)))
+        return [_round_floats(val, digits) for val in obj]
     return obj
+
+
+# How each element type of a flat list is written when the whole list is one chunk.
+_FLAT_JSON = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_chunks(obj: Any, indent: str = "\n") -> Iterator[str]:
+    """The text ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
+    writes for a document with string keys, in chunks: a list whose elements
+    are all strings, all ints or all floats is one chunk.  ``indent`` is the
+    line break and indentation that precede ``obj``'s closing bracket."""
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner, opener = indent + "  ", "{"
+        for key, value in sorted(obj.items()):
+            yield f"{opener}{inner}{encode_basestring_ascii(key)}: "
+            yield from _json_chunks(value, inner)
+            opener = ","
+        yield indent + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = indent + "  "
+        kinds = set(map(type, obj))
+        text = _FLAT_JSON.get(kinds.pop()) if len(kinds) == 1 else None
+        if text is float.__repr__ and not all(map(math.isfinite, obj)):
+            text = None  # the entry by entry path raises on the first non-finite one
+        if text is not None:
+            yield "[" + inner + ("," + inner).join(map(text, obj)) + indent + "]"
+            return
+        opener = "["
+        for value in obj:
+            yield opener + inner
+            yield from _json_chunks(value, inner)
+            opener = ","
+        yield indent + "]"
+    elif isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif obj is None or isinstance(obj, bool):
+        yield _JSON_CONSTANTS[obj]
+    elif isinstance(obj, int):
+        yield int.__repr__(obj)
+    elif isinstance(obj, float) and math.isfinite(obj):
+        yield float.__repr__(obj)
+    else:  # as json.dumps: ValueError for inf and nan, TypeError for anything else
+        raise (ValueError if isinstance(obj, float) else TypeError)(
+            f"{obj!r} cannot be written as JSON"
+        )
 
 
 def _envelope(
@@ -263,7 +325,7 @@ def _cmd_strategy(args: argparse.Namespace, pmf: Pmf, alpha: Alpha) -> dict[str,
     labels = pmf.labels
     subsets: Any = mixture.subsets
     if labels is not None:
-        subsets = [[labels[i] for i in row] for row in subsets.tolist()]
+        subsets = [list(map(labels.__getitem__, row)) for row in subsets.tolist()]
     outputs: dict[str, Any] = {
         "value": report.value,
         "coverage": report.coverage.t,
@@ -514,9 +576,10 @@ def _run(args: argparse.Namespace) -> None:
     result = args.func(args, dist, alpha)
     if isinstance(result, dict):
         doc = _envelope(args.command, args.k, result, dist, digest, alpha)
-        # Streamed, so the text is never held whole.  _round_floats has turned
-        # every non-finite float into a string, so allow_nan cannot fail midway.
-        chunks = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(doc)
+        # Streamed one flat list or row at a time, so the text is never held
+        # whole.  _round_floats has turned every non-finite float into a
+        # string, so the writer cannot fail midway.
+        chunks = _json_chunks(doc)
     else:  # a table, under a header naming what made it and from what
         header = [f"# kguess {args.command} v{__version__}",
                   f"# input: {digest} kind={_kind(dist)}"]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -863,6 +864,70 @@ def test_envelope_reserializes_byte_for_byte(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+
+
+# Keys and strings with quotes, backslashes, control and non-BMP characters.
+json_texts = st.text(st.sampled_from('a"\\\x00\x1f\n\x7fé€😀') | st.characters(), max_size=6)
+json_numbers = (
+    st.integers() | st.sampled_from([2**64 + 1, -(2**70), -1])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 123456789012.0])
+)
+json_scalars = st.none() | st.booleans() | json_numbers | json_texts
+envelope_values = st.recursive(
+    json_scalars,
+    lambda kids: (
+        st.lists(kids, max_size=4)
+        | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6)
+        | st.lists(st.integers(), max_size=6)
+        | st.lists(json_texts, max_size=6)
+        | st.lists(json_numbers | st.booleans() | st.none(), max_size=6)
+        | st.dictionaries(json_texts, kids, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@given(envelope_values)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_the_json_encoder(value):
+    expected = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).encode(value)
+    assert "".join(kguess.cli._json_chunks(value)) == expected
+
+
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, math.nan, [1.0, math.inf], [-math.inf, 2.0], [math.nan],
+    [1, 2.5, math.nan], {"a": [0.5, {"b": math.inf}]},
+])
+def test_writer_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError):
+        "".join(kguess.cli._json_chunks(value))
+
+
+ROUNDING_VALUES = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2 / 3,
+    99999999999.95, 1e16, sys.float_info.max, -sys.float_info.max, 0.1 + 0.2,
+]
+
+
+@pytest.mark.parametrize("digits", [3, 12, 17])
+def test_bulk_rounding_matches_each_entry(digits):
+    rounded = kguess.cli._round_floats(np.array(ROUNDING_VALUES), digits)
+    expected = [float(f"{x:.{digits}g}") for x in ROUNDING_VALUES]
+    # float.hex tells -0.0 from 0.0
+    assert [type(x) for x in rounded] == [float] * len(expected)
+    assert list(map(float.hex, rounded)) == list(map(float.hex, expected))
+    # a list of floats alone is taken whole; one with a bool in it, entry by entry
+    assert kguess.cli._round_floats(ROUNDING_VALUES, digits) == rounded
+    one_by_one = kguess.cli._round_floats([*ROUNDING_VALUES, True], digits)
+    assert list(map(float.hex, one_by_one[:-1])) == list(map(float.hex, expected))
+
+
+def test_non_finite_entries_round_to_their_names():
+    rounded = kguess.cli._round_floats(np.array([1 / 3, math.inf, -0.0, -math.inf, math.nan]), 12)
+    assert rounded[::2] == [0.333333333333, -0.0, "nan"]
+    assert rounded[1::2] == ["inf", "-inf"]
+    assert math.copysign(1.0, rounded[2]) == -1.0
 
 
 # ---------------------------------------------------------------------------
