@@ -171,7 +171,6 @@ def _round_floats(obj: Any, digits: int) -> Any:
 
 # How each element type of a flat list is written when the whole list is one chunk.
 _FLAT_JSON = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_chunks(obj: Any, indent: str = "\n") -> Iterator[str]:
@@ -209,8 +208,10 @@ def _json_chunks(obj: Any, indent: str = "\n") -> Iterator[str]:
         yield indent + "]"
     elif isinstance(obj, str):
         yield encode_basestring_ascii(obj)
-    elif obj is None or isinstance(obj, bool):
-        yield _JSON_CONSTANTS[obj]
+    elif obj is None:
+        yield "null"
+    elif isinstance(obj, bool):
+        yield "true" if obj else "false"
     elif isinstance(obj, int):
         yield int.__repr__(obj)
     elif isinstance(obj, float) and math.isfinite(obj):
