@@ -32,6 +32,7 @@ from .core import (
     KGuessError,
     Pmf,
     SUM_TOL,
+    _SCRATCH,
     _array,
     _check_budget,
     _descending,
@@ -170,16 +171,24 @@ class LossReport:
 _PARTITION_MIN_SIZE = 1280
 
 
-def _head(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _head(
+    P: np.ndarray, k: int, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``P``, for k <= n: the columns of its k largest atoms in
     descending order with ties by column, and the atoms there followed by the
-    (k+1)-th largest atom when k < n."""
+    (k+1)-th largest atom when k < n.  Partitions in ``work``, an array of
+    P's shape, when given."""
     rows, n = P.shape
     if P.size < _PARTITION_MIN_SIZE or k >= n - 1:
         head = np.argsort(-P, axis=1, kind="stable")[:, :k + 1]
         return head[:, :k], P[np.arange(rows)[:, None], head]
     H = np.empty((rows, k + 1))
-    H[:, k] = np.partition(P, n - k - 1, axis=1)[:, n - k - 1]  # O(n) per row
+    if work is None:
+        H[:, k] = np.partition(P, n - k - 1, axis=1)[:, n - k - 1]  # O(n) per row
+    else:
+        np.copyto(work, P)
+        work.partition(n - k - 1, axis=1)
+        H[:, k] = work[:, n - k - 1]
     # The atoms above the (k+1)-th are the head, found in column order, so that
     # the stable sort below breaks ties by column.  A row has k of them unless
     # its k-th atom ties the (k+1)-th; such rows get the full sort.
@@ -201,18 +210,20 @@ def _head(P: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return head, H
 
 
-def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
+def _solve_rows(
+    P: np.ndarray, k: int, a: Alpha, work: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """Per row of ``P`` (nonnegative, summing to one): loss, threshold rank,
     read-only coverage and multiplier.  Ties keep column order.  A row with at
     most k positive atoms covers them: loss 0, rank their count, multiplier
-    the smallest of them.
+    the smallest of them.  ``work``, an array of P's shape, is ``_head``'s.
 
     Head and tail: the rank stage reads each row's k largest atoms, ordered by
     ``_head``, and one power sum over the rest; then coverage and loss take a
     few passes over each row in column order, with no gather or scatter."""
     rows, n = P.shape
     k = min(k, n)  # every budget from n up gives the same answer
-    head, H = _head(P, k)
+    head, H = _head(P, k, work)
     if k < n and H[:, k].min() > 0.0:  # every row's (k+1)-th largest atom is positive
         value, rank, t, multiplier = _solve_live_rows(P, head, H[:, :k], a)
         spent = k
@@ -231,11 +242,14 @@ def _solve_rows(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
     return value, rank, _freeze(t), multiplier
 
 
-def _rank_stage(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
+def _rank_stage(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha,
+                work: np.ndarray | None = None):
     """Threshold search on rows with more than k positive atoms, at a finite
     order, given the columns ``head`` of each row's k largest atoms, in order,
     and the atoms ``H`` there.  Runs under the caller's ``np.errstate``, with
-    divide, over and invalid ignored: ln 0 is -inf.
+    divide, over and invalid ignored: ln 0 is -inf.  Given ``work``, an array
+    of P's shape, the tail pass allocates no array of that size: ln P
+    overwrites P, and the tail terms are formed in ``work``.
 
     Returns ln P and, per row: the 0-based threshold rank ``s0``; ``guessed``,
     which head atoms are guessed outright (the ranks below s0); ``lead``, ln of
@@ -244,9 +258,14 @@ def _rank_stage(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
     on; and ln of the sum of (p / max p) ** a over the whole row."""
     rows, k = head.shape
     at, col = np.arange(rows), np.arange(k)
-    logp, logh = np.log(P), np.log(H)
     # Tail terms over the k-th atom, each at most one: column order, head zeroed.
-    y = a.value * (logp - logh[:, k - 1:])
+    if work is None:
+        logp, logh = np.log(P), np.log(H)
+        y = a.value * (logp - logh[:, k - 1:])
+    else:
+        logp, logh = np.log(P, out=P), np.log(H)
+        y = np.subtract(logp, logh[:, k - 1:], out=work)
+        y *= a.value
     np.exp(y, out=y)
     y[at[:, None], head] = 0.0
     tail = y.sum(axis=1)
@@ -299,11 +318,14 @@ def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
     return value, s0 + 1, t, multiplier
 
 
-def _log_expectations(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]:
+def _log_expectations(
+    P: np.ndarray, k: int, a: Alpha, work: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
     """Per row of ``P`` (nonnegative, summing to one), at a finite order: ln of
     the best expectation sum(p * t ** beta) over the optimal coverage t, with
     beta = (a - 1) / a; ln of the sum of (p / max p) ** a; and the column of the
-    largest atom, the lowest on ties.
+    largest atom, the lowest on ties.  Given ``work``, an array of P's shape,
+    it works in place as ``_rank_stage`` does, and P is overwritten.
 
     From the rank stage alone, in O(k) per row past it: the optimum guesses the
     r - 1 likeliest atoms outright and spreads k - r + 1 guesses over the rest,
@@ -312,7 +334,7 @@ def _log_expectations(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]
     """
     rows, n = P.shape
     k = min(k, n)
-    head, H = _head(P, k)
+    head, H = _head(P, k, work)
     live = H[:, k] > 0.0 if k < n else np.zeros(rows, dtype=bool)
     best, log_mass = np.zeros(rows), np.empty(rows)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -320,8 +342,9 @@ def _log_expectations(P: np.ndarray, k: int, a: Alpha) -> tuple[np.ndarray, ...]
             log_mass[~live] = np.log(_tilt_rows(H[~live, :k], a.value)[1])
         if live.any():
             at = slice(None) if live.all() else live  # no copies when every row is live
-            h = H[at, :k]
-            _, _, guessed, lead, log_left, log_total, mass = _rank_stage(P[at], head[at], h, a)
+            h, Pa = H[at, :k], P[at]
+            wa = None if work is None else work[:len(Pa)]
+            _, _, guessed, lead, log_left, log_total, mass = _rank_stage(Pa, head[at], h, a, wa)
             beta = (a.value - 1.0) / a.value
             spread = lead + beta * log_left + log_total / a.value
             head_mass = np.where(guessed, h, 0.0).sum(axis=1)
@@ -408,8 +431,11 @@ def minimal_loss_conditional(
     joint = as_joint(joint)
     a = as_alpha(alpha)
     k = _check_budget(k)
-    rows, weights, live = _joint_rows(joint)
-    solved = _solve_rows(rows[1:], k, a)
+    scratch = _SCRATCH.lend()
+    rows, weights, live = _joint_rows(joint, scratch)
+    columns = rows[1:]
+    solved = _solve_rows(columns, k, a, scratch.array(1, columns.shape))
+    _SCRATCH.keep(scratch)
     reports: list[LossReport | None] = [None] * joint.shape[1]
     for i, y in enumerate(live.tolist()):
         reports[y] = _report(solved, i, k, a)

@@ -18,6 +18,7 @@ from .core import (
     Alpha,
     JointPmf,
     Pmf,
+    _SCRATCH,
     _check_budget,
     _finite_order,
     _joint_rows,
@@ -79,8 +80,10 @@ def _leakage_rows(joint: JointPmf, k: int, a: Alpha):
     """For the rows of :func:`_joint_rows` (the marginal of X, then X given each
     column of positive mass): ln of each row's best expectation, the columns'
     masses, and the flatness condition, all from the kernel's rank stage."""
-    rows, weights, live = _joint_rows(joint)
-    best, log_mass, top = _log_expectations(rows, k, a)
+    scratch = _SCRATCH.lend()
+    rows, weights, live = _joint_rows(joint, scratch)
+    best, log_mass, top = _log_expectations(rows, k, a, scratch.array(1, rows.shape))
+    _SCRATCH.keep(scratch)
     # Row i's largest tilted entry is entry[i], at column top[i]; argmax keeps
     # the earliest maximum: the marginal first, then columns in ascending order.
     entry = 1.0 / np.exp(log_mass)
