@@ -10,11 +10,11 @@ errors (a query outside an operation's domain), 4 when the numerical
 oracle fails to certify convergence.
 
 Every float in an envelope is rounded to a fixed number of significant
-digits before serialization (12 by default, override with the
-KGUESS_PRECISION environment variable), so re-serializing a parsed
-envelope reproduces it byte for byte: an envelope is exactly
-``json.dumps(envelope, indent=2, sort_keys=True)`` of itself.  The writer
-streams that text, with each flat list of numbers or of strings (a coverage
+digits as it is written (12 by default, override with the KGUESS_PRECISION
+environment variable), so re-serializing a parsed envelope reproduces it
+byte for byte: an envelope is exactly ``json.dumps(envelope, indent=2,
+sort_keys=True)`` of itself.  One walk of the result rounds and writes it,
+streaming the text with each flat list of numbers or of strings (a coverage
 or weight vector, a subset row) formatted and written as one chunk.
 """
 
@@ -136,48 +136,18 @@ def _precision() -> int:
 # ---------------------------------------------------------------------------
 
 
-def _round_floats(obj: Any, digits: int) -> Any:
-    """Round every float in a nested structure to significant digits.
-
-    Rounding before serialization is what makes envelope round-trips exact:
-    a parsed envelope re-serializes to the same bytes because the floats
-    already sit on the printed grid.
-    """
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not math.isfinite(value):
-            return "inf" if value > 0 else ("-inf" if value < 0 else "nan")
-        return float(f"{value:.{digits}g}")
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {key: _round_floats(val, digits) for key, val in obj.items()}
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biu":
-            return obj.tolist()
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        # A flat list of strings and ints, or of finite floats, is taken whole.
-        kinds = set(map(type, obj))
-        if kinds <= {str, int}:
-            return list(obj)
-        if kinds == {float} and all(map(math.isfinite, obj)):
-            return list(map(float, map(f"{{:.{digits}g}}".format, obj)))
-        return [_round_floats(val, digits) for val in obj]
-    return obj
+# How a flat list of strings or of ints is written when the whole list is one chunk.
+_FLAT_JSON = {str: encode_basestring_ascii, int: int.__repr__}
 
 
-# How each element type of a flat list is written when the whole list is one chunk.
-_FLAT_JSON = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
-
-
-def _json_chunks(obj: Any, indent: str = "\n") -> Iterator[str]:
-    """The text ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``
-    writes for a document with string keys, in chunks: a list whose elements
-    are all strings, all ints or all floats is one chunk.  ``indent`` is the
-    line break and indentation that precede ``obj``'s closing bracket."""
+def _json_chunks(obj: Any, digits: int, indent: str = "\n") -> Iterator[str]:
+    """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for a
+    document with string keys once each float is rounded to ``digits``
+    significant digits, in chunks: a list whose elements are all strings, all
+    ints or all floats that round to finite ones is one chunk.  A float that
+    is or rounds to inf or nan is written as the string "inf", "-inf" or
+    "nan", and an array as its ``tolist()``.  ``indent`` is the line break
+    and indentation that precede ``obj``'s closing bracket."""
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -185,25 +155,35 @@ def _json_chunks(obj: Any, indent: str = "\n") -> Iterator[str]:
         inner, opener = indent + "  ", "{"
         for key, value in sorted(obj.items()):
             yield f"{opener}{inner}{encode_basestring_ascii(key)}: "
-            yield from _json_chunks(value, inner)
+            yield from _json_chunks(value, digits, inner)
             opener = ","
         yield indent + "}"
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, np.ndarray):
+        yield from _json_chunks(obj.tolist(), digits, indent)
+    elif isinstance(obj, list):
         if not obj:
             yield "[]"
             return
         inner = indent + "  "
         kinds = set(map(type, obj))
-        text = _FLAT_JSON.get(kinds.pop()) if len(kinds) == 1 else None
-        if text is float.__repr__ and not all(map(math.isfinite, obj)):
-            text = None  # the entry by entry path raises on the first non-finite one
-        if text is not None:
-            yield "[" + inner + ("," + inner).join(map(text, obj)) + indent + "]"
-            return
+        kind = kinds.pop() if len(kinds) == 1 else None
+        texts = None
+        if kind is float:
+            texts = map(float.__repr__, map(float, map(f"{{:.{digits}g}}".format, obj)))
+        elif kind in _FLAT_JSON:
+            texts = map(_FLAT_JSON[kind], obj)
+        if texts is not None:
+            # One expression, so the joined entries are freed before the chunk
+            # is written.  Of a float's reprs only inf's and nan's hold an
+            # "n"; such lists are written entry by entry, which names them.
+            chunk = "[" + inner + ("," + inner).join(texts) + indent + "]"
+            if kind is not float or "n" not in chunk:
+                yield chunk
+                return
         opener = "["
         for value in obj:
             yield opener + inner
-            yield from _json_chunks(value, inner)
+            yield from _json_chunks(value, digits, inner)
             opener = ","
         yield indent + "]"
     elif isinstance(obj, str):
@@ -214,12 +194,14 @@ def _json_chunks(obj: Any, indent: str = "\n") -> Iterator[str]:
         yield "true" if obj else "false"
     elif isinstance(obj, int):
         yield int.__repr__(obj)
-    elif isinstance(obj, float) and math.isfinite(obj):
-        yield float.__repr__(obj)
-    else:  # as json.dumps: ValueError for inf and nan, TypeError for anything else
-        raise (ValueError if isinstance(obj, float) else TypeError)(
-            f"{obj!r} cannot be written as JSON"
-        )
+    elif isinstance(obj, float):
+        value = float(f"{obj:.{digits}g}")
+        if math.isfinite(value):
+            yield float.__repr__(value)
+        else:
+            yield '"inf"' if value > 0 else ('"-inf"' if value < 0 else '"nan"')
+    else:
+        raise TypeError(f"{obj!r} cannot be written as JSON")
 
 
 def _envelope(
@@ -236,7 +218,7 @@ def _envelope(
         "command": command,
         "version": __version__,
         "k": int(k),
-        "outputs": _round_floats(outputs, _precision()),
+        "outputs": outputs,
     }
     if dist is not None:
         doc["input"] = shape = {"digest": digest, "kind": _kind(dist)}
@@ -577,10 +559,11 @@ def _run(args: argparse.Namespace) -> None:
     result = args.func(args, dist, alpha)
     if isinstance(result, dict):
         doc = _envelope(args.command, args.k, result, dist, digest, alpha)
-        # Streamed one flat list or row at a time, so the text is never held
-        # whole.  _round_floats has turned every non-finite float into a
-        # string, so the writer cannot fail midway.
-        chunks = _json_chunks(doc)
+        # Rounded and written in one walk, one flat list or row at a time, so
+        # the text is never held whole.  The precision is read here, before
+        # --out is opened, and the writer names each non-finite float, so it
+        # cannot fail midway.
+        chunks = _json_chunks(doc, _precision())
     else:  # a table, under a header naming what made it and from what
         header = [f"# kguess {args.command} v{__version__}",
                   f"# input: {digest} kind={_kind(dist)}"]

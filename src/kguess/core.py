@@ -148,7 +148,9 @@ class Alpha:
             return "inf"
         if self.is_one:
             return "1"
-        return f"{self.value:g}"
+        # The fewest digits from :g's six that read back as this order; 17 always do.
+        texts = (f"{self.value:.{digits}g}" for digits in range(6, 18))
+        return next(text for text in texts if float(text) == self.value)
 
 
 def as_alpha(alpha: "Alpha | float | int | str") -> Alpha:

@@ -329,6 +329,13 @@ class TestSweep:
         assert rows[0][3] == "" and rows[1][3] == ""
         assert float(rows[0][2]) == pytest.approx(math.log(1.36), abs=1e-9)
 
+    def test_close_orders_get_distinct_labels(self, capsys, files):
+        argv = ["sweep", files["main"], "--k-range", "1", "--alphas", "2,2.0000001"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+        assert [row[1] for row in rows] == ["2", "2.0000001"]
+
     def test_values_continuous_through_order_one(self, capsys, files):
         code, out, _ = run(
             capsys,
@@ -732,6 +739,23 @@ class TestInputs:
         assert code == 2 and out == ""
         assert err == "kguess: input error: KGUESS_PRECISION must lie in [1, 17], got 18\n"
 
+    def test_float_rounded_past_the_float_range_is_named(self, capsys, monkeypatch):
+        # 1.8e308, the largest float at 3 digits, is beyond float range
+        monkeypatch.setenv("KGUESS_PRECISION", "3")
+        argv = ["check-admissible", "--t", "1.7976931348623157e308,0", "-k", "1"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert payload(out)["outputs"]["coverage"] == ["inf", 0.0]
+
+    @pytest.mark.parametrize("digits", ["zero", "18"])
+    def test_bad_precision_leaves_no_out_file(self, capsys, files, tmp_path, monkeypatch, digits):
+        monkeypatch.setenv("KGUESS_PRECISION", digits)
+        out = tmp_path / "out.json"
+        argv = ["loss", files["main"], "-k", "2", "--alpha", "2", "--out", str(out)]
+        code, _, err = run(capsys, argv)
+        assert code == 2 and "KGUESS_PRECISION" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -856,14 +880,17 @@ LAYOUT_FILES = {
     pytest.param(["check-admissible", "--t", "0.5,0.5", "-k", "3", "--lp"],
                  id="check-certificate"),
 ])
-def test_envelope_reserializes_byte_for_byte(capsys, tmp_path, argv):
+def test_envelope_reserializes_byte_for_byte(capsys, tmp_path, monkeypatch, argv):
     if argv[1] in LAYOUT_FILES:
         path = tmp_path / "dist.json"
         path.write_text(json.dumps(LAYOUT_FILES[argv[1]]))
         argv = [argv[0], str(path), *argv[2:]]
-    code, out, err = run(capsys, argv)
-    assert code == 0 and err == ""
-    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+    for digits in (None, "3", "17"):
+        if digits is not None:
+            monkeypatch.setenv("KGUESS_PRECISION", digits)
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
 # Keys and strings with quotes, backslashes, control and non-BMP characters.
@@ -888,20 +915,33 @@ envelope_values = st.recursive(
 )
 
 
+def write(value, digits: int = 12) -> str:
+    return "".join(kguess.cli._json_chunks(value, digits))
+
+
 @given(envelope_values)
 @settings(max_examples=300, deadline=None)
 def test_writer_matches_the_json_encoder(value):
+    # 17 digits round every finite float to itself
     expected = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).encode(value)
-    assert "".join(kguess.cli._json_chunks(value)) == expected
+    assert write(value, 17) == expected
 
 
-@pytest.mark.parametrize("value", [
-    math.inf, -math.inf, math.nan, [1.0, math.inf], [-math.inf, 2.0], [math.nan],
-    [1, 2.5, math.nan], {"a": [0.5, {"b": math.inf}]},
-])
-def test_writer_refuses_non_finite_floats(value):
-    with pytest.raises(ValueError):
-        "".join(kguess.cli._json_chunks(value))
+@pytest.mark.parametrize("value, text", [
+    (math.inf, '"inf"'), (-math.inf, '"-inf"'), (math.nan, '"nan"'),
+    ([1.0, math.inf], '[1.0, "inf"]'), ([-math.inf, 2.0], '["-inf", 2.0]'), ([math.nan], '["nan"]'),
+    ([1, 2.5, math.nan], '[1, 2.5, "nan"]'),
+    ({"a": [0.5, {"b": math.inf}]}, '{"a": [0.5, {"b": "inf"}]}'),
+], ids=["inf", "-inf", "nan", *(f"value{i}" for i in range(3, 8))])
+def test_writer_refuses_non_finite_floats(value, text):
+    """Non-finite floats are never written as numbers (json.dumps's Infinity
+    and NaN are not JSON): the writer names them as strings."""
+    assert write(value) == json.dumps(json.loads(text), indent=2)
+
+
+def test_writer_refuses_other_types():
+    with pytest.raises(TypeError):
+        write({"a": [1.0, (2.0, 3.0)]})
 
 
 ROUNDING_VALUES = [
@@ -910,24 +950,29 @@ ROUNDING_VALUES = [
 ]
 
 
+def hexes(written: list) -> list[str]:
+    """float.hex of each written float (it tells -0.0 from 0.0), and each
+    written name as it stands ("inf" is also float.hex(math.inf))."""
+    return [v if isinstance(v, str) else float.hex(v) for v in written]
+
+
 @pytest.mark.parametrize("digits", [3, 12, 17])
 def test_bulk_rounding_matches_each_entry(digits):
-    rounded = kguess.cli._round_floats(np.array(ROUNDING_VALUES), digits)
-    expected = [float(f"{x:.{digits}g}") for x in ROUNDING_VALUES]
-    # float.hex tells -0.0 from 0.0
-    assert [type(x) for x in rounded] == [float] * len(expected)
-    assert list(map(float.hex, rounded)) == list(map(float.hex, expected))
+    # at 3 digits the largest floats round to 1.8e308, past the float range
+    expected = [float.hex(float(f"{x:.{digits}g}")) for x in ROUNDING_VALUES]
+    text = write(np.array(ROUNDING_VALUES), digits)
+    assert hexes(json.loads(text)) == expected
     # a list of floats alone is taken whole; one with a bool in it, entry by entry
-    assert kguess.cli._round_floats(ROUNDING_VALUES, digits) == rounded
-    one_by_one = kguess.cli._round_floats([*ROUNDING_VALUES, True], digits)
-    assert list(map(float.hex, one_by_one[:-1])) == list(map(float.hex, expected))
+    assert write(ROUNDING_VALUES, digits) == text
+    one_by_one = json.loads(write([*ROUNDING_VALUES, True], digits))
+    assert hexes(one_by_one[:-1]) == expected and one_by_one[-1] is True
 
 
 def test_non_finite_entries_round_to_their_names():
-    rounded = kguess.cli._round_floats(np.array([1 / 3, math.inf, -0.0, -math.inf, math.nan]), 12)
-    assert rounded[::2] == [0.333333333333, -0.0, "nan"]
-    assert rounded[1::2] == ["inf", "-inf"]
-    assert math.copysign(1.0, rounded[2]) == -1.0
+    written = json.loads(write(np.array([1 / 3, math.inf, -0.0, -math.inf, math.nan]), 12))
+    assert written[::2] == [0.333333333333, -0.0, "nan"]
+    assert written[1::2] == ["inf", "-inf"]
+    assert math.copysign(1.0, written[2]) == -1.0
 
 
 # ---------------------------------------------------------------------------

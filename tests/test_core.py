@@ -187,6 +187,18 @@ class TestAlpha:
         assert str(Alpha.infinity()) == "inf"
         assert str(Alpha(2.0)) == "2"
         assert str(Alpha(0.5)) == "0.5"
+        assert str(Alpha(1e-06)) == "1e-06"
+        assert str(Alpha(1e12)) == "1e+12"
+        assert str(Alpha(100.0)) == "100"
+        assert str(Alpha(0.123456789)) == "0.123456789"
+
+    def test_str_reads_back_as_the_same_order(self):
+        rng = np.random.default_rng(11)
+        values = 10.0 ** rng.uniform(-300, 300, 2000)
+        values = np.concatenate([values, np.nextafter(values, np.inf), [2.0000001, 1 / 3]])
+        for value in values:
+            a = Alpha(float(value))
+            assert Alpha.from_token(str(a)) == a, value
 
 
 # ---------------------------------------------------------------------------
