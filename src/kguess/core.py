@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -575,78 +574,6 @@ def arimoto_conditional_entropy(
     top = float(inner.max())
     outer = top + math.log(np.exp(inner - top).sum())
     return Entropy(a.value / (1.0 - a.value) * outer)
-
-
-# The largest array a thread's scratch keeps, in bytes: 4 MiB, 2 ** 19 float64
-# entries, as in the (columns + 1) x rows matrix of a 724 x 723 joint.
-_SCRATCH_BYTES = 1 << 22
-
-
-class _Scratch:
-    """Two float64 buffers that the joint path reuses from call to call: slot 0
-    holds ``_joint_rows``'s matrix of conditional rows, slot 1 one work array of
-    the same (columns + 1) x rows shape or smaller.
-
-    Allocated afresh on every call, these matrices and their temporaries made
-    a repeated 200 x 200 ``alpha_leakage`` spend over half its time in page
-    faults, since the C allocator hands freed memory back to the system and
-    the next call faults it in again.  A buffer keeps at most _SCRATCH_BYTES
-    (4 MiB); a larger array is allocated per call.  The caller owns what
-    ``array`` returns until it hands the scratch back, and returns no view of
-    it: every result is a fresh array."""
-
-    __slots__ = ("_flat",)
-
-    def __init__(self) -> None:
-        self._flat = [np.empty(0), np.empty(0)]
-
-    def array(self, slot: int, shape: tuple[int, int]) -> np.ndarray:
-        """An uninitialized C-order array of ``shape`` in buffer ``slot``."""
-        size = shape[0] * shape[1]
-        if 8 * size > _SCRATCH_BYTES:
-            return np.empty(shape)
-        if self._flat[slot].size < size:
-            self._flat[slot] = np.empty(size)
-        return self._flat[slot][:size].reshape(shape)
-
-
-class _ScratchSlot(threading.local):
-    """Each thread's idle ``_Scratch``: one per thread, so threads never share
-    buffers, and lent out while in use, so that a call nested in another on
-    the same thread (by a signal handler, a profiler or a debugger) gets
-    buffers of its own.  A call that raises keeps what it was lent, and the
-    next one starts afresh."""
-
-    idle: _Scratch | None = None  # until the thread's first call
-
-    def lend(self) -> _Scratch:
-        scratch, self.idle = self.idle, None
-        return scratch or _Scratch()
-
-    def keep(self, scratch: _Scratch) -> None:
-        self.idle = scratch
-
-
-_SCRATCH = _ScratchSlot()
-
-
-def _joint_rows(
-    joint: JointPmf, scratch: _Scratch | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows of the marginal of X, then of X given each column of positive
-    mass, in ``scratch``'s slot 0 when given; and those columns' masses and
-    indices."""
-    P = joint.probs
-    py = P.sum(axis=0)
-    live = np.flatnonzero(py > 0.0)
-    cols = P.T
-    if live.size < py.size:  # gather only when some column is dead
-        cols, py = cols[live], py[live]
-    shape = (py.size + 1, P.shape[0])  # C order, for the row passes
-    rows = np.empty(shape) if scratch is None else scratch.array(0, shape)
-    rows[0] = P.sum(axis=1)
-    np.divide(cols, py[:, None], out=rows[1:])
-    return rows, py, live
 
 
 def conditional_pmf(joint: "JointPmf | object", y_index: int) -> Pmf:

@@ -13,12 +13,15 @@ matrix at once in the log domain, so that extreme orders stay stable.  It needs
 only a row's k largest atoms in order (the head) and one power sum over the rest
 (the tail), taken in column order: O(n + k log k) per row, O(k) per rank pass.
 The leakage reads each row's best expectation off the kernel's rank stage
-alone (``_log_expectations``), with no pass over the coverage.
+alone (``_log_expectations``), with no pass over the coverage.  Both joint
+callers run through ``_on_joint``: the marginal of X and X given each
+observation, as the rows of one matrix in buffers that each thread reuses.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +35,11 @@ from .core import (
     KGuessError,
     Pmf,
     SUM_TOL,
-    _SCRATCH,
     _array,
     _check_budget,
     _descending,
     _freeze,
     _indices,
-    _joint_rows,
     _losses,
     _nonnegative,
     _outside_unit,
@@ -352,6 +353,66 @@ def _log_expectations(
     return best, log_mass, head[:, 0]
 
 
+# The largest array a thread's scratch keeps, in bytes: 4 MiB, 2 ** 19 float64
+# entries, as in the (columns + 1) x rows matrix of a 724 x 723 joint.
+_SCRATCH_BYTES = 1 << 22
+
+
+class _Scratch:
+    """Two float64 buffers that the joint path reuses from call to call: slot 0
+    holds ``_on_joint``'s matrix of conditional rows, slot 1 one work array of
+    the same (columns + 1) x rows shape.
+
+    Allocated afresh on every call, these matrices and their temporaries made
+    a repeated 200 x 200 ``alpha_leakage`` spend over half its time in page
+    faults, since the C allocator hands freed memory back to the system and
+    the next call faults it in again.  A buffer keeps at most _SCRATCH_BYTES
+    (4 MiB); a larger array is allocated per call."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self) -> None:
+        self._flat = [np.empty(0), np.empty(0)]
+
+    def array(self, slot: int, shape: tuple[int, int]) -> np.ndarray:
+        """An uninitialized C-order array of ``shape`` in buffer ``slot``."""
+        size = shape[0] * shape[1]
+        if 8 * size > _SCRATCH_BYTES:
+            return np.empty(shape)
+        if self._flat[slot].size < size:
+            self._flat[slot] = np.empty(size)
+        return self._flat[slot][:size].reshape(shape)
+
+
+# Each thread's idle _Scratch (``idle``): one per thread, so threads never share
+# buffers, and lent out while in use, so that a call nested in another on the
+# same thread (by a signal handler, a profiler or a debugger) gets buffers of
+# its own.  A call that raises keeps what it was lent, and the next one starts
+# afresh.
+_SCRATCH = threading.local()
+
+
+def _on_joint(solve, joint: JointPmf, k: int, a: Alpha):
+    """``solve(rows, k, a, work)`` on the rows of the marginal of X, then of X
+    given each column of positive mass, with ``work`` an array of their shape;
+    and those columns' masses and indices.  Both arrays are the thread's
+    scratch: ``solve`` may overwrite them and returns no view of them."""
+    scratch, _SCRATCH.idle = getattr(_SCRATCH, "idle", None) or _Scratch(), None
+    P = joint.probs
+    py = P.sum(axis=0)
+    live = np.flatnonzero(py > 0.0)
+    cols = P.T
+    if live.size < py.size:  # gather only when some column is dead
+        cols, py = cols[live], py[live]
+    shape = (py.size + 1, P.shape[0])  # C order, for the row passes
+    rows = scratch.array(0, shape)
+    rows[0] = P.sum(axis=1)
+    np.divide(cols, py[:, None], out=rows[1:])
+    solved = solve(rows, k, a, scratch.array(1, shape))
+    _SCRATCH.idle = scratch
+    return solved, py, live
+
+
 def _report(rows: tuple[np.ndarray, ...], i: int, k: int, a: Alpha) -> LossReport:
     """LossReport of kernel row ``i``, which the kernel checked: no re-validation."""
     value, rank, t, multiplier = rows
@@ -431,12 +492,8 @@ def minimal_loss_conditional(
     joint = as_joint(joint)
     a = as_alpha(alpha)
     k = _check_budget(k)
-    scratch = _SCRATCH.lend()
-    rows, weights, live = _joint_rows(joint, scratch)
-    columns = rows[1:]
-    solved = _solve_rows(columns, k, a, scratch.array(1, columns.shape))
-    _SCRATCH.keep(scratch)
+    solved, weights, live = _on_joint(_solve_rows, joint, k, a)
     reports: list[LossReport | None] = [None] * joint.shape[1]
-    for i, y in enumerate(live.tolist()):
+    for i, y in enumerate(live.tolist(), 1):  # row 0 is the marginal
         reports[y] = _report(solved, i, k, a)
-    return float((weights * solved[0]).sum()), reports
+    return float((weights * solved[0][1:]).sum()), reports

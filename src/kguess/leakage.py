@@ -18,14 +18,12 @@ from .core import (
     Alpha,
     JointPmf,
     Pmf,
-    _SCRATCH,
     _check_budget,
     _finite_order,
-    _joint_rows,
     _nonnegative,
     as_joint,
 )
-from .guessing import _log_expectations, minimal_loss
+from .guessing import _log_expectations, _on_joint, minimal_loss
 
 __all__ = [
     "RobustnessResult",
@@ -77,13 +75,10 @@ class LeakageReport:
 
 
 def _leakage_rows(joint: JointPmf, k: int, a: Alpha):
-    """For the rows of :func:`_joint_rows` (the marginal of X, then X given each
+    """For the rows of :func:`_on_joint` (the marginal of X, then X given each
     column of positive mass): ln of each row's best expectation, the columns'
     masses, and the flatness condition, all from the kernel's rank stage."""
-    scratch = _SCRATCH.lend()
-    rows, weights, live = _joint_rows(joint, scratch)
-    best, log_mass, top = _log_expectations(rows, k, a, scratch.array(1, rows.shape))
-    _SCRATCH.keep(scratch)
+    (best, log_mass, top), weights, live = _on_joint(_log_expectations, joint, k, a)
     # Row i's largest tilted entry is entry[i], at column top[i]; argmax keeps
     # the earliest maximum: the marginal first, then columns in ascending order.
     entry = 1.0 / np.exp(log_mass)

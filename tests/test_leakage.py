@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kguess.core import (
-    _SCRATCH,
     Alpha,
     DomainError,
     JointPmf,
     Pmf,
-    _joint_rows,
     arimoto_conditional_entropy,
     as_alpha,
     as_joint,
@@ -26,7 +24,13 @@ from kguess.core import (
     renyi_entropy,
     tilted,
 )
-from kguess.guessing import _solve_rows, minimal_loss, minimal_loss_conditional
+from kguess.guessing import (
+    _SCRATCH,
+    _on_joint,
+    _solve_rows,
+    minimal_loss,
+    minimal_loss_conditional,
+)
 from kguess.leakage import (
     alpha_leakage,
     max_expectation,
@@ -188,8 +192,8 @@ class TestAlphaLeakage:
             P /= P.sum()
             k, alpha = int(rng.integers(1, m)), float(rng.choice([0.3, 0.5, 2.0, 5.0]))
             report = alpha_leakage(P, k, alpha)
-            rows, weights, _ = _joint_rows(as_joint(P))
-            best = 1.0 - (alpha - 1.0) / alpha * _solve_rows(rows, k, as_alpha(alpha))[0]
+            solved, weights, _ = _on_joint(_solve_rows, as_joint(P), k, as_alpha(alpha))
+            best = 1.0 - (alpha - 1.0) / alpha * solved[0]
             assert math.log(float(np.dot(weights, best[1:]))) == pytest.approx(
                 report.numerator_exponent, abs=1e-12
             )
