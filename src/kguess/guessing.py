@@ -302,10 +302,13 @@ def _solve_live_rows(P: np.ndarray, head: np.ndarray, H: np.ndarray, a: Alpha):
     the rank stage, then the passes over whole rows."""
     rows, k = head.shape
     heads = (np.arange(rows)[:, None], head)  # indexes every row's head columns
-    if a.is_inf:
-        t = np.zeros(P.shape)
+    if a.is_inf:  # the loss is the mass past the head, summed as is: 1 - head cancels
+        t = P.copy()
+        t[heads] = 0.0
+        value = t.sum(axis=1)
+        t.fill(0.0)
         t[heads] = 1.0
-        return np.maximum(1.0 - H.sum(axis=1), 0.0), np.full(rows, k), t, H[:, k - 1]
+        return value, np.full(rows, k), t, H[:, k - 1]
     # Beyond float range the loss and the multiplier are +inf; ln 0 is -inf.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         y, s0, guessed, lead, log_left, log_total, _ = _rank_stage(P, head, H, a)

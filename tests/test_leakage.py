@@ -26,6 +26,7 @@ from kguess.core import (
 )
 from kguess.guessing import (
     _SCRATCH,
+    _SCRATCH_BYTES,
     _on_joint,
     _solve_rows,
     minimal_loss,
@@ -394,12 +395,6 @@ def joints_200(rng: np.random.Generator) -> list[JointPmf]:
 def test_batched_columns_match_per_column_reference():
     for joint in batch_test_joints():
         n_x = joint.shape[0]
-        # At order infinity the loss is one less the sum of the k largest atoms.
-        # At k = 199 of 200 that cancels to about 1e-5, and the batched and the
-        # per-column conditionals, normalized by sums taken in different orders,
-        # gave values up to 7 ulps of one (1.55e-15) apart.  16 ulps covers the
-        # 2 log2(200) roundings of two pairwise sums; smaller joints keep 1e-15.
-        near_zero = 1e-15 if n_x <= 64 else 16 * np.finfo(float).eps
         for alpha in (0.5, 2.0, 5.0, math.inf):
             for k in sorted({1, 2, max(1, n_x - 1)}):
                 total, columns = minimal_loss_conditional(joint, k, alpha)
@@ -411,7 +406,7 @@ def test_batched_columns_match_per_column_reference():
                         continue
                     single = minimal_loss(conditional_pmf(joint, y), k, alpha)
                     expected_total += float(py[y]) * single.value
-                    assert column.value == pytest.approx(single.value, rel=1e-12, abs=near_zero)
+                    assert column.value == pytest.approx(single.value, rel=1e-12, abs=1e-15)
                     assert column.threshold_rank == single.threshold_rank
                     assert column.multiplier == pytest.approx(single.multiplier, rel=1e-12)
                     assert column.coverage.k == single.coverage.k
@@ -496,6 +491,36 @@ def test_no_result_shares_the_scratch():
         for column in columns:
             if column is not None:
                 assert not any(np.shares_memory(column.coverage.t, b) for b in buffers)
+
+
+def test_a_joint_past_the_cap_runs_outside_the_scratch():
+    # 731 rows of 730 take 4.27 MB, past the 4 MiB a buffer keeps: each call
+    # allocates its own arrays and leaves the thread's buffers as they were.
+    alpha_leakage(joints_200(np.random.default_rng(67))[0], 2, 2.0)
+    kept = list(_SCRATCH.idle._flat)
+    rng = np.random.default_rng(71)
+    P = rng.dirichlet(np.ones(730 * 730)).reshape(730, 730)
+    P[:, rng.integers(730)] = 0.0  # a column of zero mass
+    joint = JointPmf(P / P.sum())
+    report = alpha_leakage(joint, 3, 2.0)
+    total, columns = minimal_loss_conditional(joint, 3, 2.0)
+    buffers = _SCRATCH.idle._flat
+    assert all(b is a for b, a in zip(buffers, kept))
+    assert max(b.size for b in buffers) <= _SCRATCH_BYTES // 8
+    assert report.value == pytest.approx(reference_leakage(joint, 3, 2.0), abs=1e-12)
+    py = joint.probs.sum(axis=0)
+    expected_total = 0.0
+    for y, column in enumerate(columns):
+        if py[y] <= 0.0:
+            assert column is None
+            continue
+        single = minimal_loss(conditional_pmf(joint, y), 3, 2.0)
+        expected_total += float(py[y]) * single.value
+        assert column.value == pytest.approx(single.value, rel=1e-12, abs=1e-15)
+        assert column.threshold_rank == single.threshold_rank
+        assert np.max(np.abs(column.coverage.t - single.coverage.t)) <= 1e-12
+        assert not any(np.shares_memory(column.coverage.t, b) for b in buffers)
+    assert total == pytest.approx(expected_total, rel=1e-12)
 
 
 def test_threads_match_a_sequential_run():
