@@ -387,11 +387,11 @@ class _Scratch:
         return self._flat[slot][:size].reshape(shape)
 
 
-# Each thread's idle _Scratch (``idle``): one per thread, so threads never share
-# buffers, and lent out while in use, so that a call nested in another on the
-# same thread (by a signal handler, a profiler or a debugger) gets buffers of
-# its own.  A call that raises keeps what it was lent, and the next one starts
-# afresh.
+# ``_SCRATCH.idle`` is the thread's idle _Scratch: one per thread, so threads
+# never share buffers, and lent out while in use, so that a call nested in
+# another on the same thread (by a signal handler, a profiler or a debugger)
+# gets buffers of its own.  A call that raises keeps what it was lent, and the
+# next one starts afresh.
 _SCRATCH = threading.local()
 
 
