@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,7 @@ __all__ = [
 
 _SCALE = 10**9  # common denominator for exact feasibility inputs
 _EPS = float(np.finfo(np.float64).eps)
+_TAU = 0.01  # fraction to the boundary: a descent step keeps this share of a coordinate
 _MAX_ROWS = 20
 
 
@@ -154,11 +156,12 @@ def minimize_expected_loss(
         Instance to solve; the order must be finite and the budget below
         the positive support size.
     tol : float
-        Absolute certificate target, positive and finite: iteration stops
-        once the linearized duality gap (an upper bound on objective
-        suboptimality) drops below it.
+        Absolute certificate target, a positive and finite real number:
+        iteration stops once the linearized duality gap (an upper bound on
+        objective suboptimality) drops below it.
     max_iter : int
-        Iteration cap; exceeding it raises :class:`ConvergenceError`.
+        Iteration cap, a positive integer; exceeding it raises
+        :class:`ConvergenceError`.
 
     Returns
     -------
@@ -176,13 +179,31 @@ def minimize_expected_loss(
     coverage on the k most attractive coordinates) and the weak-duality floor
     from box-minimizing the Lagrangian.  Neither relies on structural
     knowledge of the optimum.
+
+    The preconditioned move obeys a fraction-to-the-boundary rule (as in
+    interior-point methods; Waechter & Biegler, Math. Programming 106, 2006):
+    it is cut back along its direction, to t + s (cand - t) with the largest s
+    in (0, 1], so that no coordinate above floor / 0.01 falls below 0.01 of
+    its value in one step.  The full step overshoots: early on it clips even
+    coordinates whose optimum is well inside the box to zero, and a floored
+    coordinate climbs back only by a factor of about 1 + alpha per
+    iteration, so the certificate would stall for a dozen iterations.
+    Coordinates at or below floor / 0.01 may still drop to the floor.  A cut
+    step ends no descent: the loop certifies only after an accepted step that
+    was not cut, or at float stationarity, since a point left midway down to
+    the floor can pass the certificate while it still spends budget on that
+    coordinate, nearly ``tol`` off the minimum where one more step lands much
+    closer.
     """
     pmf = as_pmf(pmf)
     a = _finite_order(alpha, "numerical oracle")
     k = _check_budget(k)
+    max_iter = _check_budget(max_iter, "iteration cap")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise DomainError(f"tolerance must be a real number, got {tol!r}")
     if not tol > 0.0:  # NaN too
         raise DomainError("tolerance must be positive")
-    if math.isinf(tol):
+    if not tol < math.inf:
         raise DomainError("tolerance must be finite")
     pos = np.flatnonzero(pmf.probs > 0.0)
     if k >= pos.size:
@@ -245,7 +266,8 @@ def minimize_expected_loss(
         return max(min(linear, f_t - dual_floor), 0.0)
 
     def moves(t: np.ndarray, g: np.ndarray, step: float):
-        """Trial points of one iteration, in the order they are tried.
+        """Trial points of one iteration, in the order they are tried, each
+        with whether the fraction-to-the-boundary rule cut it.
 
         Preconditioned first; where the curvature clip saturates (floored
         coordinates) that move degenerates, so two scale-free directions
@@ -257,28 +279,38 @@ def minimize_expected_loss(
         # caps it
         with np.errstate(over="ignore"):
             curvature = (p * (1.0 / av) * t ** (-1.0 - 1.0 / av)).clip(1e-8, 1e18)
+        # fraction to the boundary: no coordinate above floor / _TAU may fall
+        # below _TAU of its value in one step (projected points are >= 0)
+        least = np.where(t > floor / _TAU, _TAU * t, 0.0)
         for h in range(60):
-            yield _project(t - step * 0.5**h * g / curvature, k, weights=curvature)
+            cand = _project(t - step * 0.5**h * g / curvature, k, weights=curvature)
+            low = cand < least
+            if low.any():
+                # t and cand lie in the capped simplex, so the cut point does
+                s = float(((1.0 - _TAU) * t[low] / (t[low] - cand[low])).min())
+                yield t + s * (cand - t), True
+            else:
+                yield cand, False
         scale = max(1.0, float(abs(g).max()))
         for h in range(60):
-            yield _project(t - 0.5**h * g / scale, k)
+            yield _project(t - 0.5**h * g / scale, k), False
         vertex = np.zeros(n)
         vertex[g.argpartition(k - 1)[:k]] = 1.0
         for h in range(60):
-            yield t + 0.5**h * (vertex - t)
+            yield t + 0.5**h * (vertex - t), False
 
     t = np.full(n, k / n)
     f_t, g = value(np.log(t)), gradient(t)
     gap = certified_gap(t, f_t, g)
     step = 1.0
-    iteration = 0
+    cut = False
     for iteration in range(1, max_iter + 1):
-        if gap <= tol:
+        if gap <= tol and not cut:
             break
         # a step must lower the objective, or, within 4 ulp of it (below
         # float resolution), strictly shrink the certificate
         slack = 4.0 * _EPS * max(1.0, abs(f_t))
-        for cand in moves(t, g, step):
+        for cand, cand_cut in moves(t, g, step):
             cand = np.maximum(cand, floor)
             f_cand = value(np.log(cand))
             if not f_cand <= f_t + slack:
@@ -286,7 +318,7 @@ def minimize_expected_loss(
             g_cand = gradient(cand)
             gap_cand = certified_gap(cand, f_cand, g_cand)
             if f_cand < f_t or gap_cand < gap:
-                t, f_t, g, gap = cand, f_cand, g_cand, gap_cand
+                t, f_t, g, gap, cut = cand, f_cand, g_cand, gap_cand, cand_cut
                 step = min(step * 2.0, 1.0)
                 break
         else:
