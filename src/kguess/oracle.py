@@ -5,7 +5,11 @@ optimization directly, as a convex program over the capped simplex
 { t : 0 <= t_i <= 1, sum t_i = k }, using projected descent with a
 diagonal preconditioner and a duality-gap stopping certificate.  It never
 looks at the threshold structure the closed form exploits, so agreement
-between the two is real evidence.
+between the two is real evidence.  The search for its dual floor's
+multiplier sorts nothing, runs no rank test and uses nothing from
+``guessing``: past its bracket's start at the k-th largest atom, it reads
+only the box minimizer's saturated set (the atoms with s_i = 1), which the
+dual floor defines anyway.
 
 ``lp_feasible`` decides, in exact arithmetic, whether a coverage vector is
 a nonnegative combination of k-subset indicator columns, and on rejection
@@ -141,6 +145,61 @@ def project_capped_simplex(v: "np.ndarray | object", domain: CappedSimplex) -> n
     return t
 
 
+def _dual_multiplier(ln_p: np.ndarray, k: int, a: float) -> tuple[float, int]:
+    """ln lam of the dual floor's multiplier, and the budget evaluations spent.
+
+    At mu = ln lam the Lagrangian's box minimizer spends the budget
+    B(mu) = sum_i min(1, e^y_i) with y_i = a (ln p_i - mu): the r atoms with
+    y_i >= 0 are ones, the others spend their free sum F = sum e^y_i.  The
+    search keeps a bracket, lo with B >= k and hi with B <= k, and each
+    evaluation moves one end of it, as bisection would.  It also takes a
+    Newton step: in x = e^(-a mu) the budget sum_i min(1, p_i^a x) is concave
+    and piecewise linear, so its tangent at any point, on either side of the
+    root, lies above it and reaches k no later; in mu that tangent meets k at
+    mu + (ln F - ln(k - r)) / a, which is never below the root and so caps
+    hi (Michelot, J. Optim. Theory Appl. 50, 1986; Kiwiel, Math. Programming
+    112, 2008).  The next point is hi when the evaluation at least halved
+    the bracket, the midpoint otherwise.  The search stops where the Newton
+    bound makes no progress at a point that spends at most k, or when the
+    bracket is two adjacent floats, within 200 evaluations.  ln F is formed
+    shifted by the largest free y: at large orders F itself underflows, to a
+    subnormal or to zero, where its logarithm is still finite.
+    """
+    n = ln_p.size
+    lo = float(-np.partition(-ln_p, k - 1)[k - 1])  # k atoms are ones here
+    hi = float(ln_p.max()) + math.log(n / k) / a  # every e^y is at most k / n
+    if hi <= lo:
+        hi = lo + 1e-9
+    mu = 0.5 * (lo + hi)
+    for evaluations in range(1, 201):
+        width = hi - lo
+        with np.errstate(over="ignore"):  # a huge order sends y to -inf
+            y = a * (ln_p - mu)
+        free = y[y < 0.0]
+        r = n - free.size  # below k, since every mu tried lies above lo
+        top = float(free.max())
+        ln_free = top + math.log(float(np.exp(free - top).sum())) if top > -math.inf else top
+        spent = r + math.exp(ln_free)
+        bound = mu + (ln_free - math.log(k - r)) / a
+        if spent >= k:
+            lo = mu
+        else:
+            hi = mu
+        if spent <= k and bound >= mu:  # mu is the root to rounding
+            return mu, evaluations
+        hi = min(hi, bound)
+        if hi <= lo:  # the ends met, or a rounded bound crossed lo: the root to rounding
+            return lo, evaluations
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 0.5 * width:
+            mu = hi
+        elif lo < mid < hi:
+            mu = mid
+        else:  # the bracket is two adjacent floats
+            return mid, evaluations
+    return 0.5 * (lo + hi), evaluations
+
+
 def minimize_expected_loss(
     pmf: "Pmf | object",
     k: int,
@@ -157,8 +216,9 @@ def minimize_expected_loss(
         the positive support size.
     tol : float
         Absolute certificate target, a positive and finite real number:
-        iteration stops once the linearized duality gap (an upper bound on
-        objective suboptimality) drops below it.
+        iteration stops once the certified gap, the smaller of the
+        linearized duality gap and f(t) minus the dual floor (each an upper
+        bound on objective suboptimality), drops below it.
     max_iter : int
         Iteration cap, a positive integer; exceeding it raises
         :class:`ConvergenceError`.
@@ -178,7 +238,13 @@ def minimize_expected_loss(
     convexity bounds: the linearization gap against the best vertex (unit
     coverage on the k most attractive coordinates) and the weak-duality floor
     from box-minimizing the Lagrangian.  Neither relies on structural
-    knowledge of the optimum.
+    knowledge of the optimum.  The floor's multiplier comes from a bracketed
+    Newton search: in x = lam^(-alpha) the budget the box minimizer spends is
+    concave and piecewise linear, so the tangent at any point reaches the
+    budget no later than the function does, and its root caps the bracket
+    without ever falling below the multiplier sought; a few evaluations
+    replace the fifty or so of bisection to adjacent floats.  Any multiplier
+    gives a valid floor, so the certificate does not rest on the search.
 
     The preconditioned move obeys a fraction-to-the-boundary rule (as in
     interior-point methods; Waechter & Biegler, Math. Programming 106, 2006):
@@ -233,24 +299,13 @@ def minimize_expected_loss(
 
     # Weak-duality floor under the constrained minimum: for any lam > 0,
     # minimizing f(s) + lam * (sum(s) - k) over the unit box splits per
-    # coordinate, each 1-d minimizer at min(1, (p_i / lam) ** a).  Bisection
-    # picks the lam whose box minimizer spends the budget, which makes the
-    # bound tight, but any lam yields a valid floor.
+    # coordinate, each 1-d minimizer at min(1, (p_i / lam) ** a).  A
+    # bracketed Newton search picks the lam whose box minimizer spends the
+    # budget, which makes the bound tight; its Newton bounds never pass that
+    # lam, since the budget is concave in lam ** -a, and any lam yields a
+    # valid floor.
     ln_p = np.log(p)
-    lo = math.log(float(-np.partition(-p, k - 1)[k - 1]))
-    hi = math.log(float(p.max())) + math.log(n / k) / av
-    if hi <= lo:
-        hi = lo + 1e-9
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # the bracket is two adjacent floats
-            break
-        spent = float(np.exp(np.minimum(av * (ln_p - mid), 0.0)).sum())
-        if spent >= k:
-            lo = mid
-        else:
-            hi = mid
-    lam = math.exp(0.5 * (lo + hi))
+    lam = math.exp(_dual_multiplier(ln_p, k, av)[0])
     ln_s = np.minimum(av * (ln_p - math.log(lam)), 0.0)
     with np.errstate(over="ignore"):  # below order one, a tiny s's loss can overflow
         dual_floor = value(ln_s) + lam * (float(np.exp(ln_s).sum()) - k)

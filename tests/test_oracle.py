@@ -23,6 +23,7 @@ from kguess.core import (
 from kguess.guessing import minimal_loss
 from kguess.oracle import (
     CappedSimplex,
+    _dual_multiplier,
     _first_negative_subset,
     _project,
     _snap,
@@ -305,6 +306,77 @@ def test_descent_certifies_within_twenty_iterations():
         s = max(1.0, abs(closed))
         assert sol.iterations <= 20, (p.size, k, alpha, sol.iterations)
         assert closed - 1e-13 * s <= sol.value <= closed + sol.gap + 1e-13 * s
+
+
+def _multiplier_bracket(ln_p, k, a):
+    """ln lam where the box minimizer spends at least k (k atoms at one) and
+    where it spends at most k (every (p_i / lam) ** a at most k / n)."""
+    lo = float(-np.partition(-ln_p, k - 1)[k - 1])
+    hi = float(ln_p.max()) + math.log(ln_p.size / k) / a
+    return lo, max(hi, lo + 1e-9)
+
+
+def _bisected_multiplier(ln_p, k, a):
+    """The budget's root by plain bisection, run until the bracket is two
+    adjacent floats."""
+    lo, hi = _multiplier_bracket(ln_p, k, a)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        with np.errstate(over="ignore"):
+            spent = float(np.exp(np.minimum(a * (ln_p - mid), 0.0)).sum())
+        lo, hi = (mid, hi) if spent >= k else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _dual_floor(p, k, a, mu):
+    """The weak-duality floor at lam = e^mu: the loss (1 - s^beta) / beta
+    (-ln s at order one) of the box minimizer s_i = min(1, (p_i / lam) ** a),
+    plus lam times its budget excess."""
+    with np.errstate(over="ignore"):
+        ln_s = np.minimum(a * (np.log(p) - mu), 0.0)
+    beta = (a - 1.0) / a
+    loss = -ln_s if beta == 0.0 else -np.expm1(beta * ln_s) / beta
+    return float(np.dot(p, loss)) + math.exp(mu) * (float(np.exp(ln_s).sum()) - k)
+
+
+def test_dual_multiplier_takes_few_evaluations_and_keeps_the_floor():
+    """The Newton-bracketed search for the dual floor's multiplier takes at
+    most 24 budget evaluations (bisection to adjacent floats takes a median
+    of 52 and up to 108 here), and its floor matches the bisected one's
+    within 1e-13 and never lies above the closed-form minimum: on Dirichlet,
+    tied and 1e-40-atom pmfs at every budget, at orders 0.05 to 1e300, and
+    on two order-1000 pmfs where a Newton step lands where the free sum
+    underflows, to a subnormal and to zero, so ln F formed in plain floats
+    would raise."""
+    orders = (0.05, 0.5, 0.999, 1.0, 1.001, 2.0, 20.0, 1000.0, 1e8, 1e300)
+    rng = np.random.default_rng(20261027)
+    pmfs = []
+    for n in (6, 40):
+        tied = np.round(rng.dirichlet(np.ones(n)) * 8.0) + 1.0
+        tiny = rng.dirichlet(np.ones(n))
+        tiny[rng.choice(n, size=n // 5 + 1, replace=False)] = 1e-40
+        pmfs.extend((rng.dirichlet(np.ones(n)), tied / tied.sum(), tiny / tiny.sum()))
+    cases = [(p, k, a) for p in pmfs for k in range(1, p.size) for a in orders]
+    k, a = 13, 1000.0
+    normal = np.finfo(float).tiny
+    for seed, underflow in ((39, lambda f: 0.0 < f < normal), (72, lambda f: f == 0.0)):
+        p = np.random.default_rng(seed).dirichlet(np.full(150, 0.1))
+        ln_p = np.log(p)
+        mid = 0.5 * sum(_multiplier_bracket(ln_p, k, a))
+        y = a * (ln_p - mid)
+        free = y[y < 0.0]
+        ln_free = free.max() + math.log(float(np.exp(free - free.max()).sum()))
+        bound = mid + (ln_free - math.log(k - (p.size - free.size))) / a
+        assert underflow(float(np.exp(np.minimum(a * (ln_p - bound), 0.0))[ln_p < bound].sum()))
+        cases.append((p, k, a))
+    for p, k, a in cases:
+        mu, evaluations = _dual_multiplier(np.log(p), k, a)
+        floor = _dual_floor(p, k, a, mu)
+        reference = _dual_floor(p, k, a, _bisected_multiplier(np.log(p), k, a))
+        closed = minimal_loss(p, k, a).value
+        assert evaluations <= 24, (p.size, k, a, evaluations)
+        assert abs(floor - reference) <= 1e-13 * max(1.0, abs(reference)), (p.size, k, a)
+        assert floor <= closed + 1e-13 * max(1.0, abs(closed)), (p.size, k, a)
 
 
 # ---------------------------------------------------------------------------
