@@ -15,12 +15,23 @@ environment variable), so re-serializing a parsed envelope reproduces it
 byte for byte: an envelope is exactly ``json.dumps(envelope, indent=2,
 sort_keys=True)`` of itself.  One walk of the result rounds and writes it,
 streaming the text with each flat list of numbers or of strings (a coverage
-or weight vector, a subset row) formatted and written as one chunk.
+or weight vector, a subset row) formatted and written as one chunk.  A
+float's text is the repr of the float its ``%g`` text reads back as; the
+``%g`` text is formed once and kept where it is already that repr, so only
+integral texts, positive exponents, exponents of -300 or below and
+precisions of 16 or 17 are parsed and written again.
+
+As the program (``main()`` with no argument list: the console script and
+``python -m kguess.cli``), the frontend freezes the garbage collector's
+heap before it parses its flags, so the collection at exit skips the
+objects its imports left; ``main(argv)`` leaves the caller's collector as
+it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -138,16 +149,39 @@ def _precision() -> int:
 
 # How a flat list of strings or of ints is written when the whole list is one chunk.
 _FLAT_JSON = {str: encode_basestring_ascii, int: int.__repr__}
+# The type of every leaf of an array's tolist(), by dtype kind, where one type holds them all.
+_ARRAY_LEAVES = {"i": int, "u": int, "f": float}
 
 
-def _json_chunks(obj: Any, digits: int, indent: str = "\n") -> Iterator[str]:
+def _float_texts(values: list[float], digits: int) -> Iterator[str]:
+    """``float.__repr__`` of each value rounded to ``digits`` significant digits.
+
+    Up to 15 digits every decimal of that many digits survives the trip
+    through a normal float, so the ``%g`` text is already the repr, except
+    where the two notations differ: an integral text (no "." and no "e"),
+    a positive exponent (repr writes 1e+12 as 1000000000000.0) and an
+    exponent of -300 or below, near the subnormals, where fewer digits
+    survive.  Only those, and every text at 16 or 17 digits, are parsed and
+    written again."""
+    texts = map(f"%.{digits}g".__mod__, values)
+    if digits > 15:
+        return map(float.__repr__, map(float, texts))
+    return (t if "." in t and "e" not in t or "e-" in t and t[-5:-2] != "e-3" else repr(float(t))
+            for t in texts)
+
+
+def _json_chunks(
+    obj: Any, digits: int, indent: str = "\n", leaf: type | None = None
+) -> Iterator[str]:
     """The text ``json.dumps(obj, indent=2, sort_keys=True)`` writes for a
     document with string keys once each float is rounded to ``digits``
     significant digits, in chunks: a list whose elements are all strings, all
     ints or all floats that round to finite ones is one chunk.  A float that
     is or rounds to inf or nan is written as the string "inf", "-inf" or
     "nan", and an array as its ``tolist()``.  ``indent`` is the line break
-    and indentation that precede ``obj``'s closing bracket."""
+    and indentation that precede ``obj``'s closing bracket; ``leaf``, if
+    given, is the type of every number in the (nested) list ``obj``, as an
+    array's dtype tells, so its rows are not scanned for their types."""
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -159,17 +193,20 @@ def _json_chunks(obj: Any, digits: int, indent: str = "\n") -> Iterator[str]:
             opener = ","
         yield indent + "}"
     elif isinstance(obj, np.ndarray):
-        yield from _json_chunks(obj.tolist(), digits, indent)
+        yield from _json_chunks(obj.tolist(), digits, indent, _ARRAY_LEAVES.get(obj.dtype.kind))
     elif isinstance(obj, list):
         if not obj:
             yield "[]"
             return
         inner = indent + "  "
-        kinds = set(map(type, obj))
-        kind = kinds.pop() if len(kinds) == 1 else None
+        if leaf is None:
+            kinds = set(map(type, obj))
+            kind = kinds.pop() if len(kinds) == 1 else None
+        else:
+            kind = list if isinstance(obj[0], list) else leaf
         texts = None
         if kind is float:
-            texts = map(float.__repr__, map(float, map(f"{{:.{digits}g}}".format, obj)))
+            texts = _float_texts(obj, digits)
         elif kind in _FLAT_JSON:
             texts = map(_FLAT_JSON[kind], obj)
         if texts is not None:
@@ -183,7 +220,7 @@ def _json_chunks(obj: Any, digits: int, indent: str = "\n") -> Iterator[str]:
         opener = "["
         for value in obj:
             yield opener + inner
-            yield from _json_chunks(value, digits, inner)
+            yield from _json_chunks(value, digits, inner, leaf)
             opener = ","
         yield indent + "]"
     elif isinstance(obj, str):
@@ -575,6 +612,15 @@ def _run(args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    With ``argv`` None, ``main`` is the program (the console script,
+    ``python -m kguess.cli``) and reads ``sys.argv``; it then freezes the
+    garbage collector's heap first, so the collection at exit skips the
+    objects the imports left.  A caller that passes ``argv`` keeps its
+    collector as it was."""
+    if argv is None:
+        gc.freeze()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

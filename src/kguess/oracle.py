@@ -306,8 +306,10 @@ def minimize_expected_loss(
     # valid floor.
     ln_p = np.log(p)
     lam = math.exp(_dual_multiplier(ln_p, k, av)[0])
-    ln_s = np.minimum(av * (ln_p - math.log(lam)), 0.0)
-    with np.errstate(over="ignore"):  # below order one, a tiny s's loss can overflow
+    # Below order one a tiny s's loss can overflow; at orders near the float
+    # maximum so can a * (ln p - ln lam), whose -inf only floors ln s.
+    with np.errstate(over="ignore"):
+        ln_s = np.minimum(av * (ln_p - math.log(lam)), 0.0)
         dual_floor = value(ln_s) + lam * (float(np.exp(ln_s).sum()) - k)
     dual_floor = dual_floor if math.isfinite(dual_floor) else -math.inf  # +inf bounds nothing
 

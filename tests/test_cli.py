@@ -6,6 +6,7 @@ reads stdout/stderr through capsys, so the suite needs no subprocesses.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -717,6 +718,12 @@ class TestInputs:
         assert code == 2
         assert "usage" in err
 
+    def test_main_with_argv_leaves_the_collector_unfrozen(self, capsys, files):
+        # only the program entry, main(), freezes the import-time heap
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, ["loss", files["main"], "-k", "2", "--alpha", "2"])
+        assert code == 0 and gc.get_freeze_count() == before
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, ["--version"])
         assert code == 0
@@ -944,28 +951,56 @@ def test_writer_refuses_other_types():
         write({"a": [1.0, (2.0, 3.0)]})
 
 
+_SEEDED = np.random.default_rng(0)
 ROUNDING_VALUES = [
-    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1 / 3, -2 / 3,
-    99999999999.95, 1e16, sys.float_info.max, -sys.float_info.max, 0.1 + 0.2,
+    -0.0, 0.0, 1.0, -7.0, 1e11, 123456789012.0, 99999999999.95, 1 / 3, -2 / 3, 0.1 + 0.2,
+    1e16, 1e22, 1.0001e-4, 9.99999999999999e-5,
+    # rounded exponents 11 to 17, where %g and repr write different notations
+    *(m * 10.0**e for e in range(10, 18) for m in (1.2345678901234567, 9.999999999999999)),
+    # subnormals, the smallest normal and the floats beside it
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+    2.225073858507201e-308, 2.2250738585072019e-308, 1.23456789e-300, 9.87654321e-308,
+    # round past the float range at low precision
+    sys.float_info.max, -sys.float_info.max, 1.75e308,
+    # random magnitudes from 1e-325 (which underflows to zero) to 1e308
+    *(sign * 10.0**power for sign, power in zip(
+        _SEEDED.choice([-1.0, 1.0], 2000).tolist(), _SEEDED.uniform(-325, 308, 2000).tolist())),
 ]
 
 
-def hexes(written: list) -> list[str]:
-    """float.hex of each written float (it tells -0.0 from 0.0), and each
-    written name as it stands ("inf" is also float.hex(math.inf))."""
-    return [v if isinstance(v, str) else float.hex(v) for v in written]
+def exact_text(value: float, digits: int) -> str:
+    """The text of one float as the writer must give it: the repr of the
+    value rounded through its %g text, or the name of a non-finite one."""
+    rounded = float(f"{value:.{digits}g}")
+    return float.__repr__(rounded) if math.isfinite(rounded) else json.dumps(str(rounded))
 
 
-@pytest.mark.parametrize("digits", [3, 12, 17])
+def listed(texts: list[str]) -> str:
+    return "[\n  " + ",\n  ".join(texts) + "\n]"
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
 def test_bulk_rounding_matches_each_entry(digits):
-    # at 3 digits the largest floats round to 1.8e308, past the float range
-    expected = [float.hex(float(f"{x:.{digits}g}")) for x in ROUNDING_VALUES]
-    text = write(np.array(ROUNDING_VALUES), digits)
-    assert hexes(json.loads(text)) == expected
-    # a list of floats alone is taken whole; one with a bool in it, entry by entry
-    assert write(ROUNDING_VALUES, digits) == text
-    one_by_one = json.loads(write([*ROUNDING_VALUES, True], digits))
-    assert hexes(one_by_one[:-1]) == expected and one_by_one[-1] is True
+    expected = [exact_text(x, digits) for x in ROUNDING_VALUES]
+    # the entries that round to finite floats are written as one chunk
+    values, texts = map(list, zip(*(
+        (x, text) for x, text in zip(ROUNDING_VALUES, expected) if not text.startswith('"'))))
+    chunks = list(kguess.cli._json_chunks(np.array(values), digits))
+    assert chunks == [listed(texts)]
+    assert write(values, digits) == chunks[0]
+    # a list with a named float or a bool in it is written entry by entry
+    assert write(ROUNDING_VALUES, digits) == listed(expected)
+    assert write([*values, True], digits) == listed([*texts, "true"])
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(12).reshape(3, 4), np.arange(12, dtype=np.uint8).reshape(2, 3, 2),
+    np.array([[1 / 3, 2.5], [math.inf, -0.0]]), np.array([[True, False]]),
+    np.zeros((2, 0)), np.array(7.5),
+], ids=["int-rows", "uint-3d", "float-rows-with-inf", "bool", "empty-rows", "0-d"])
+def test_array_rows_are_written_as_their_lists(array):
+    # an int or float array's rows are not scanned for their types
+    assert write(array, 12) == write(array.tolist(), 12)
 
 
 def test_non_finite_entries_round_to_their_names():

@@ -245,6 +245,13 @@ class TestDescentOracle:
         assert sol.gap <= 1e-9
         assert sol.value == pytest.approx(minimal_loss(pmf, 1, 0.999).value, abs=1e-12)
 
+    def test_order_near_the_float_maximum_certifies_without_warning(self):
+        # a * (ln p - ln lam) overflows to -inf in the dual floor's box
+        # minimizer, which only floors ln s; pyproject makes the warning an error
+        sol = minimize_expected_loss([0.9, 0.0999, 0.0001], 2, 1.7e308)
+        assert sol.value == pytest.approx(1e-4, rel=1e-12)
+        assert sol.gap == 0.0
+
     @given(pmf_raws, orders)
     @settings(max_examples=60, deadline=None)
     def test_matches_closed_form(self, raw, alpha):
